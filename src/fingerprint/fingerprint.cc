@@ -104,12 +104,11 @@ bool HasResidueCollision(const problems::Instance& instance,
   return false;
 }
 
-/// Shared setup of the exact enumeration: k, the Bertrand prime p2 and
-/// the sieved pool of candidate p1 primes.
+/// Shared setup of the exact enumeration: the Bertrand prime p2 and the
+/// sieved pool of candidate p1 primes.
 struct ExactEnumeration {
-  std::uint64_t k = 0;
   std::uint64_t p2 = 0;
-  std::vector<std::uint64_t> primes;
+  PrimePool pool;
 };
 
 Result<ExactEnumeration> PrepareExactEnumeration(
@@ -117,17 +116,15 @@ Result<ExactEnumeration> PrepareExactEnumeration(
   Result<std::uint64_t> k_result =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok()) return k_result.status();
-  ExactEnumeration prep;
-  prep.k = k_result.value();
-  if (prep.k > max_k) {
-    return Status::OutOfRange("k = " + std::to_string(prep.k) +
+  const std::uint64_t k = k_result.value();
+  if (k > max_k) {
+    return Status::OutOfRange("k = " + std::to_string(k) +
                               " too large for exact enumeration");
   }
-  Result<std::uint64_t> p2_result = PrimeInBertrandInterval(prep.k);
+  Result<std::uint64_t> p2_result = PrimeInBertrandInterval(k);
   if (!p2_result.ok()) return p2_result.status();
-  prep.p2 = p2_result.value();
-  prep.primes = PrimePool(prep.k).primes();
-  if (prep.primes.empty()) return Status::Internal("no primes <= k");
+  ExactEnumeration prep{p2_result.value(), PrimePool(k)};
+  if (prep.pool.Count() == 0) return Status::Internal("no primes <= k");
   return prep;
 }
 
@@ -307,13 +304,14 @@ Result<double> ExactAcceptProbability(const problems::Instance& instance,
                                       std::uint64_t max_k) {
   Result<ExactEnumeration> prep = PrepareExactEnumeration(instance, max_k);
   if (!prep.ok()) return prep.status();
-  const Barrett bp2(prep.value().p2);
+  const ExactEnumeration& enumeration = prep.value();
+  const Barrett bp2(enumeration.p2);
   std::uint64_t accepting = 0;
-  for (std::uint64_t p1 : prep.value().primes) {
-    accepting += CountAcceptingX(instance, p1, bp2);
+  for (std::uint64_t i = 0; i < enumeration.pool.Count(); ++i) {
+    accepting += CountAcceptingX(instance, enumeration.pool.At(i), bp2);
   }
   const std::uint64_t total =
-      prep.value().primes.size() * (prep.value().p2 - 1);
+      enumeration.pool.Count() * (enumeration.p2 - 1);
   return static_cast<double>(accepting) / static_cast<double>(total);
 }
 
@@ -329,13 +327,13 @@ Result<double> ExactAcceptProbability(const problems::Instance& instance,
     void Merge(const AcceptTally& other) { accepting += other.accepting; }
   };
   const AcceptTally tally = runner.Run<AcceptTally>(
-      enumeration.primes.size(),
+      enumeration.pool.Count(),
       [&](std::uint64_t prime_index, AcceptTally& local) {
         local.accepting += CountAcceptingX(
-            instance, enumeration.primes[prime_index], bp2);
+            instance, enumeration.pool.At(prime_index), bp2);
       });
   const std::uint64_t total =
-      enumeration.primes.size() * (enumeration.p2 - 1);
+      enumeration.pool.Count() * (enumeration.p2 - 1);
   return static_cast<double>(tally.accepting) /
          static_cast<double>(total);
 }
@@ -359,12 +357,19 @@ double EstimateClaim1CollisionRate(const problems::Instance& instance,
 Claim1Estimate EstimateClaim1CollisionRate(
     const problems::Instance& instance, std::size_t trials,
     std::uint64_t seed, parallel::TrialRunner& runner) {
-  Claim1Estimate estimate;
   Result<std::uint64_t> k_result =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
-  if (!k_result.ok() || trials == 0) return estimate;
+  if (!k_result.ok() || trials == 0) return Claim1Estimate{};
   // Sieve once on the calling thread; workers only read.
-  const PrimePool pool(k_result.value());
+  return EstimateClaim1CollisionRate(instance, trials, seed, runner,
+                                     PrimePool(k_result.value()));
+}
+
+Claim1Estimate EstimateClaim1CollisionRate(
+    const problems::Instance& instance, std::size_t trials,
+    std::uint64_t seed, parallel::TrialRunner& runner,
+    const PrimePool& pool) {
+  Claim1Estimate estimate;
   const parallel::SeedSequence seeds(seed);
   struct CollisionTally {
     std::uint64_t trials = 0;

@@ -11,6 +11,8 @@
 
 namespace rstlab::fingerprint {
 
+class PrimePool;
+
 /// The random parameters of one fingerprinting trial (Theorem 8(a)).
 struct FingerprintParams {
   std::uint64_t k = 0;   // k = m^3 * n * ceil(log2(m^3 * n))
@@ -93,6 +95,15 @@ struct Claim1Estimate {
 Claim1Estimate EstimateClaim1CollisionRate(
     const problems::Instance& instance, std::size_t trials,
     std::uint64_t seed, parallel::TrialRunner& runner);
+
+/// The same estimator over a caller-owned pool, so a caller that keeps
+/// the pool for several requests sieves it once. `pool` must hold the
+/// primes <= ComputeFingerprintK(instance.m(), MaxValueBits(instance));
+/// the tally then equals the overload above bit for bit.
+Claim1Estimate EstimateClaim1CollisionRate(
+    const problems::Instance& instance, std::size_t trials,
+    std::uint64_t seed, parallel::TrialRunner& runner,
+    const PrimePool& pool);
 
 /// The EXACT acceptance probability of the Theorem 8(a) algorithm on
 /// `instance`, computed by full enumeration of the random choices: all

@@ -129,6 +129,23 @@ class TrialRunner {
   obs::TraceSink* trace_ = nullptr;
 };
 
+/// Installs a trace sink on a runner for one scope and detaches it on
+/// every exit path, a rethrown trial exception included, so a runner
+/// that outlives the sink never emits into it.
+class ScopedTrialTrace {
+ public:
+  ScopedTrialTrace(TrialRunner& runner, obs::TraceSink* sink)
+      : runner_(runner) {
+    runner_.set_trace(sink);
+  }
+  ~ScopedTrialTrace() { runner_.set_trace(nullptr); }
+  ScopedTrialTrace(const ScopedTrialTrace&) = delete;
+  ScopedTrialTrace& operator=(const ScopedTrialTrace&) = delete;
+
+ private:
+  TrialRunner& runner_;
+};
+
 /// The thread count a bench binary should use, in precedence order:
 /// `cli_threads` if > 0 (from --threads=N), else the RSTLAB_THREADS
 /// environment variable, else std::thread::hardware_concurrency().

@@ -1,11 +1,13 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "fingerprint/batch.h"
 #include "fingerprint/fingerprint.h"
 #include "fingerprint/prime.h"
 #include "fingerprint/prime_pool.h"
@@ -20,6 +22,7 @@
 #include "serve/json.h"
 #include "sorting/deciders.h"
 #include "stmodel/st_context.h"
+#include "util/simd.h"
 
 namespace rstlab::serve {
 
@@ -27,15 +30,44 @@ namespace {
 
 using parallel::Checksum64;
 
-/// Everything the Theorem 8(a) tester needs that depends only on
-/// (m, n): the parameter k, the fixed Bertrand prime p2 and the sieved
-/// pool of candidate p1 primes. One artifact per (m, n), shared by
-/// every request and every trial.
+/// Everything the Theorem 8(a) tester and the Claim 1 estimator need
+/// that depends only on (m, n): the parameter k, the fixed Bertrand
+/// prime p2 and the compact pool of candidate p1 primes. One artifact
+/// per (m, n), shared by every fingerprint and claim1 request and every
+/// trial.
 struct FingerprintSetup {
   std::uint64_t k = 0;
   std::uint64_t p2 = 0;
-  std::unique_ptr<fingerprint::PrimePool> pool;
+  fingerprint::PrimePool pool;
 };
+
+/// The cached (m, n) setup of `instance`; fails when k or p2 is out of
+/// the 64-bit range.
+Result<std::shared_ptr<const FingerprintSetup>> GetFingerprintSetup(
+    ArtifactCache& cache, const problems::Instance& instance) {
+  const std::size_t m = instance.m();
+  const std::size_t n = fingerprint::MaxValueBits(instance);
+  Result<std::uint64_t> k = fingerprint::ComputeFingerprintK(m, n);
+  if (!k.ok()) return k.status();
+  std::shared_ptr<const FingerprintSetup> setup =
+      cache.GetOrCreate<FingerprintSetup>(
+          "fingerprint-setup", std::to_string(m) + ":" + std::to_string(n),
+          [&]() -> std::shared_ptr<const FingerprintSetup> {
+            Result<std::uint64_t> p2 =
+                fingerprint::PrimeInBertrandInterval(k.value());
+            if (!p2.ok()) return nullptr;
+            return std::make_shared<const FingerprintSetup>(
+                FingerprintSetup{k.value(), p2.value(),
+                                 fingerprint::PrimePool(k.value())});
+          });
+  if (setup == nullptr) {
+    Result<std::uint64_t> p2 =
+        fingerprint::PrimeInBertrandInterval(k.value());
+    return p2.ok() ? Status::Internal("fingerprint setup cache miss")
+                   : p2.status();
+  }
+  return setup;
+}
 
 /// Generates the instance a GeneratorSpec describes (pure function of
 /// the spec).
@@ -55,12 +87,9 @@ problems::Instance GenerateInstance(const GeneratorSpec& spec) {
 }
 
 void EmitTrialPair(NdjsonTraceSink* events, bool stream,
-                   std::uint64_t trial, bool end_only = false) {
+                   std::uint64_t trial) {
   if (events == nullptr || !stream) return;
-  if (!end_only) {
-    events->OnEvent(
-        obs::MakeTrialEvent(obs::EventKind::kTrialBegin, trial));
-  }
+  events->OnEvent(obs::MakeTrialEvent(obs::EventKind::kTrialBegin, trial));
   events->OnEvent(obs::MakeTrialEvent(obs::EventKind::kTrialEnd, trial));
 }
 
@@ -225,77 +254,74 @@ Result<ExperimentResult> ExperimentService::Execute(
   // --- claim1: the parallel-engine estimator on a 1-thread runner
   // (the scheduler provides cross-request parallelism; within one
   // request the 1-thread tally equals the N-thread tally by the
-  // TrialRunner contract anyway). ---
+  // TrialRunner contract anyway), over the cached (m, n) prime pool. ---
   if (request.problem == "claim1") {
     thread_local parallel::TrialRunner runner(1);
-    if (events != nullptr && request.stream) {
-      runner.set_trace(events);
-    }
+    // Detached on every exit: the runner outlives this request's sink.
+    const parallel::ScopedTrialTrace trace(
+        runner, request.stream ? events : nullptr);
+    const auto trials = static_cast<std::size_t>(request.trials);
+    Result<std::shared_ptr<const FingerprintSetup>> setup =
+        GetFingerprintSetup(cache_, *instance);
+    // Without a setup (k out of range) the self-sieving entry point
+    // gives the answer it always gave: an empty estimate.
     const fingerprint::Claim1Estimate estimate =
-        fingerprint::EstimateClaim1CollisionRate(
-            *instance, static_cast<std::size_t>(request.trials),
-            request.seed, runner);
-    runner.set_trace(nullptr);
+        setup.ok() ? fingerprint::EstimateClaim1CollisionRate(
+                         *instance, trials, request.seed, runner,
+                         setup.value()->pool)
+                   : fingerprint::EstimateClaim1CollisionRate(
+                         *instance, trials, request.seed, runner);
     result.executed_trials = estimate.trials;
     result.extra = estimate.collisions;
     result.checksum = Checksum64({estimate.trials, estimate.collisions});
     return result;
   }
 
-  // --- fingerprint: the Theorem 8(a) randomized tester, one trial per
-  // seed-derived parameter draw, prime pool shared via the cache. ---
-  const std::size_t m = instance->m();
-  const std::size_t n = fingerprint::MaxValueBits(*instance);
-  Result<std::uint64_t> k = fingerprint::ComputeFingerprintK(m, n);
-  if (!k.ok()) return k.status();
-  const std::string setup_key =
-      std::to_string(m) + ":" + std::to_string(n);
-  std::shared_ptr<const FingerprintSetup> setup =
-      cache_.GetOrCreate<FingerprintSetup>(
-          "fingerprint-setup", setup_key,
-          [&]() -> std::shared_ptr<const FingerprintSetup> {
-            Result<std::uint64_t> p2 =
-                fingerprint::PrimeInBertrandInterval(k.value());
-            if (!p2.ok()) return nullptr;
-            auto built = std::make_shared<FingerprintSetup>();
-            built->k = k.value();
-            built->p2 = p2.value();
-            built->pool =
-                std::make_unique<fingerprint::PrimePool>(k.value());
-            return built;
-          });
-  if (setup == nullptr) {
-    Result<std::uint64_t> p2 =
-        fingerprint::PrimeInBertrandInterval(k.value());
-    return p2.ok() ? Status::Internal("fingerprint setup cache miss")
-                   : p2.status();
-  }
-
+  // --- fingerprint: the Theorem 8(a) randomized tester. Trial t draws
+  // (p1, x) from its own SeedSequence stream; the trials are evaluated
+  // kFingerprintLaneGroup at a time as the lanes of one batch-engine
+  // pass over the values, and folded and streamed in trial order. ---
+  Result<std::shared_ptr<const FingerprintSetup>> setup_result =
+      GetFingerprintSetup(cache_, *instance);
+  if (!setup_result.ok()) return setup_result.status();
+  const FingerprintSetup& setup = *setup_result.value();
   const parallel::SeedSequence seeds(request.seed);
-  std::uint64_t accepts = 0;
-  std::uint64_t checksum = 0;
-  for (std::uint64_t trial = 0; trial < request.trials; ++trial) {
-    if (events != nullptr && request.stream) {
-      events->OnEvent(
-          obs::MakeTrialEvent(obs::EventKind::kTrialBegin, trial));
+  const simd::SimdLevel level = simd::ProcessSimdLevel();
+  for (std::uint64_t first = 0; first < request.trials;
+       first += kFingerprintLaneGroup) {
+    const std::uint64_t end =
+        std::min(request.trials, first + kFingerprintLaneGroup);
+    fingerprint::FingerprintParamBatch batch;
+    for (std::uint64_t trial = first; trial < end; ++trial) {
+      Rng rng = seeds.RngForTrial(trial);
+      Result<std::uint64_t> p1 = setup.pool.Sample(rng);
+      if (!p1.ok()) {
+        // The frames a trial-at-a-time loop sends before this failure.
+        for (std::uint64_t t = first; t < trial; ++t) {
+          EmitTrialPair(events, request.stream, t);
+        }
+        if (events != nullptr && request.stream) {
+          events->OnEvent(
+              obs::MakeTrialEvent(obs::EventKind::kTrialBegin, trial));
+        }
+        return p1.status();
+      }
+      const std::uint64_t x = rng.UniformInRange(1, setup.p2 - 1);
+      batch.PushLane({setup.k, p1.value(), setup.p2, x});
     }
-    Rng rng = seeds.RngForTrial(trial);
-    Result<std::uint64_t> p1 = setup->pool->Sample(rng);
-    if (!p1.ok()) return p1.status();
-    fingerprint::FingerprintParams params;
-    params.k = setup->k;
-    params.p1 = p1.value();
-    params.p2 = setup->p2;
-    params.x = rng.UniformInRange(1, setup->p2 - 1);
-    const bool accepted = fingerprint::AcceptsWithParams(*instance, params);
-    accepts += accepted ? 1 : 0;
-    checksum = Checksum64(
-        {checksum, params.p1, params.x, accepted ? 1ULL : 0ULL});
-    EmitTrialPair(events, request.stream, trial, /*end_only=*/true);
+    const fingerprint::BatchFingerprintEngine engine(std::move(batch),
+                                                     level);
+    const fingerprint::BatchTally tally = engine.Evaluate(*instance);
+    for (std::size_t lane = 0; lane < engine.lanes(); ++lane) {
+      const std::uint64_t accepted = tally.lane_accepted[lane];
+      result.accepts += accepted;
+      result.checksum =
+          Checksum64({result.checksum, engine.params().p1[lane],
+                      engine.params().x[lane], accepted});
+      EmitTrialPair(events, request.stream, first + lane);
+    }
   }
   result.executed_trials = request.trials;
-  result.accepts = accepts;
-  result.checksum = checksum;
 
   // The metered tape replay: one (2, O(log N), 1)-bounded run bills the
   // (r, s, t) the budget is judged against. Parameters are drawn from a

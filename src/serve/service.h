@@ -13,6 +13,11 @@
 
 namespace rstlab::serve {
 
+/// Trials per batch-engine pass on the fingerprint path. A request
+/// holds at most this many parameter lanes at once, whatever its trial
+/// count, and its streamed frames go out one group at a time.
+inline constexpr std::uint64_t kFingerprintLaneGroup = 64;
+
 /// The outcome of one experiment request. Every field is a pure
 /// function of the request payload — no timestamps, thread counts or
 /// server identity — which is the whole shard-determinism argument:

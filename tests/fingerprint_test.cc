@@ -231,12 +231,67 @@ TEST(PrimePoolTest, SieveMatchesMillerRabin) {
   const PrimePool pool(1000);
   ASSERT_TRUE(pool.sieved());
   EXPECT_EQ(pool.Count(), CountPrimesUpTo(1000));
-  std::size_t index = 0;
+  std::uint64_t index = 0;
   for (std::uint64_t p = 2; p <= 1000; ++p) {
     if (!IsPrime(p)) continue;
-    ASSERT_LT(index, pool.primes().size());
-    EXPECT_EQ(pool.primes()[index], p);
+    ASSERT_LT(index, pool.Count());
+    EXPECT_EQ(pool.At(index), p);
     ++index;
+  }
+}
+
+/// The primes <= k by a plain sieve of Eratosthenes over every integer:
+/// the reference the compact pool is checked against.
+std::vector<std::uint32_t> ReferencePrimes(std::uint64_t k) {
+  std::vector<bool> composite(static_cast<std::size_t>(k) + 1, false);
+  std::vector<std::uint32_t> primes;
+  for (std::uint64_t p = 2; p <= k; ++p) {
+    if (composite[static_cast<std::size_t>(p)]) continue;
+    primes.push_back(static_cast<std::uint32_t>(p));
+    for (std::uint64_t q = p * p; q <= k; q += p) {
+      composite[static_cast<std::size_t>(q)] = true;
+    }
+  }
+  return primes;
+}
+
+void ExpectPoolMatchesReference(std::uint64_t k) {
+  SCOPED_TRACE("k = " + std::to_string(k));
+  const PrimePool pool(k);
+  const std::vector<std::uint32_t> reference = ReferencePrimes(k);
+  ASSERT_TRUE(pool.sieved());
+  ASSERT_EQ(pool.Count(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    if (pool.At(i) != reference[i]) {
+      FAIL() << "At(" << i << ") = " << pool.At(i) << ", want "
+             << reference[i];
+    }
+  }
+  // Sample must draw the prime a sorted list gives for the same index.
+  Rng pool_rng(k);
+  Rng reference_rng(k);
+  for (int draw = 0; draw < 1000000; ++draw) {
+    const Result<std::uint64_t> p = pool.Sample(pool_rng);
+    const std::uint32_t want = reference[static_cast<std::size_t>(
+        reference_rng.UniformBelow(reference.size()))];
+    if (!p.ok() || p.value() != want) {
+      FAIL() << "draw " << draw << " gave "
+             << (p.ok() ? std::to_string(p.value()) : "an error")
+             << ", want " << want;
+    }
+  }
+}
+
+TEST(PrimePoolTest, CompactPoolMatchesReferenceSieve) {
+  // Bit j stands for the odd number 2j + 1, so the first odd number
+  // past bit boundary b is 2b + 1.
+  const std::uint64_t block_end = 2 * PrimePool::kRankBlockBits;
+  const std::uint64_t segment_end = 2 * PrimePool::kSegmentBits;
+  for (const std::uint64_t k :
+       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{4},
+        block_end - 1, block_end + 1, segment_end - 1, segment_end + 1,
+        std::uint64_t{1} << 27}) {
+    ExpectPoolMatchesReference(k);
   }
 }
 
@@ -255,7 +310,7 @@ TEST(PrimePoolTest, FallsBackAboveSieveLimit) {
   // A pool whose k exceeds the sieve limit samples via Miller-Rabin.
   const PrimePool pool(1 << 20, /*sieve_limit=*/1 << 10);
   EXPECT_FALSE(pool.sieved());
-  EXPECT_TRUE(pool.primes().empty());
+  EXPECT_EQ(pool.Count(), 0u);
   Rng rng(7);
   Result<std::uint64_t> p = pool.Sample(rng);
   ASSERT_TRUE(p.ok());

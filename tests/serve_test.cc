@@ -15,7 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "fingerprint/fingerprint.h"
+#include "fingerprint/prime.h"
+#include "fingerprint/prime_pool.h"
 #include "obs/metrics.h"
+#include "parallel/bench_recorder.h"
+#include "parallel/seed_sequence.h"
+#include "parallel/trial_runner.h"
+#include "problems/generators.h"
+#include "problems/instance.h"
 #include "serve/artifact_cache.h"
 #include "serve/client.h"
 #include "serve/http.h"
@@ -27,6 +35,7 @@
 #include "serve/shard.h"
 #include "serve/shutdown.h"
 #include "serve/trace_bridge.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace rstlab::serve {
@@ -696,6 +705,165 @@ TEST(TraceBridgeTest, ForwardsTrialMarkersOnly) {
   EXPECT_NE(lines[0].find("\"event\":\"trial_begin\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"trial\":3"), std::string::npos);
   EXPECT_NE(lines[1].find("\"event\":\"trial_end\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The Theorem 8(a) paths of ExperimentService against their references:
+// lane groups of the batch engine must fold exactly what a per-trial
+// AcceptsWithParams loop folds, and claim1 over the cached pool must
+// equal the estimator that sieves its own.
+// ---------------------------------------------------------------------
+
+struct FoldedTrials {
+  std::uint64_t accepts = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// The fingerprint path one trial at a time: trial t's (p1, x) from
+/// SeedSequence(seed).RngForTrial(t), its verdict from AcceptsWithParams.
+FoldedTrials ScalarFingerprintReference(const problems::Instance& instance,
+                                        std::uint64_t trials,
+                                        std::uint64_t seed) {
+  const std::uint64_t k =
+      fingerprint::ComputeFingerprintK(instance.m(),
+                                       fingerprint::MaxValueBits(instance))
+          .value();
+  const std::uint64_t p2 = fingerprint::PrimeInBertrandInterval(k).value();
+  const fingerprint::PrimePool pool(k);
+  const parallel::SeedSequence seeds(seed);
+  FoldedTrials folded;
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    Rng rng = seeds.RngForTrial(trial);
+    fingerprint::FingerprintParams params;
+    params.k = k;
+    params.p1 = pool.Sample(rng).value();
+    params.p2 = p2;
+    params.x = rng.UniformInRange(1, p2 - 1);
+    const std::uint64_t accepted =
+        fingerprint::AcceptsWithParams(instance, params) ? 1 : 0;
+    folded.accepts += accepted;
+    folded.checksum = parallel::Checksum64(
+        {folded.checksum, params.p1, params.x, accepted});
+  }
+  return folded;
+}
+
+ExperimentRequest InlineRequest(const std::string& problem,
+                                const problems::Instance& instance,
+                                std::uint64_t trials, std::uint64_t seed) {
+  ExperimentRequest request;
+  request.request_id = problem + "-" + std::to_string(trials);
+  request.problem = problem;
+  request.instance = instance.Encode();
+  request.trials = trials;
+  request.seed = seed;
+  return request;
+}
+
+/// Runs the fingerprint path at trial counts on both sides of one and
+/// two lane groups, on an equal (all accept) and a perturbed instance.
+void ExpectBatchedMatchesScalar(std::size_t m, std::size_t n,
+                                std::uint64_t seed) {
+  ArtifactCache cache(16);
+  ExperimentService service(cache);
+  Rng rng(seed);
+  const std::uint64_t g = kFingerprintLaneGroup;
+  for (const problems::Instance& instance :
+       {problems::EqualMultisets(m, n, rng),
+        problems::PerturbedMultisets(m, n, 1, rng)}) {
+    for (const std::uint64_t trials :
+         {std::uint64_t{1}, g - 1, g, g + 1, 2 * g + 3}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                   " trials=" + std::to_string(trials));
+      const Result<ExperimentResult> result = service.Execute(
+          InlineRequest("fingerprint", instance, trials, seed));
+      ASSERT_TRUE(result.ok()) << result.status();
+      const FoldedTrials reference =
+          ScalarFingerprintReference(instance, trials, seed);
+      EXPECT_EQ(result.value().executed_trials, trials);
+      EXPECT_EQ(result.value().accepts, reference.accepts);
+      EXPECT_EQ(result.value().checksum, reference.checksum);
+    }
+  }
+}
+
+std::uint64_t KFor(std::size_t m, std::size_t n) {
+  return fingerprint::ComputeFingerprintK(m, n).value();
+}
+
+TEST(FingerprintServiceTest, BatchedMatchesScalarOnSievedPool) {
+  ASSERT_TRUE(fingerprint::PrimePool(KFor(16, 12)).sieved());
+  ExpectBatchedMatchesScalar(16, 12, 71);
+}
+
+TEST(FingerprintServiceTest, BatchedMatchesScalarOnUnsievedPool) {
+  ASSERT_FALSE(fingerprint::PrimePool(KFor(80, 12)).sieved());
+  ExpectBatchedMatchesScalar(80, 12, 72);
+}
+
+TEST(FingerprintServiceTest, BatchedMatchesScalarBeyondThe32BitKernel) {
+  // p2 >= 2^31 sends every lane down the engine's exact wide path.
+  ASSERT_GE(fingerprint::PrimeInBertrandInterval(KFor(64, 120)).value(),
+            std::uint64_t{1} << 31);
+  ExpectBatchedMatchesScalar(64, 120, 73);
+}
+
+TEST(FingerprintServiceTest, StreamedFramesFollowTrialOrder) {
+  ArtifactCache cache(16);
+  ExperimentService service(cache);
+  Rng rng(74);
+  const problems::Instance instance = problems::EqualMultisets(24, 12, rng);
+  const std::uint64_t trials = kFingerprintLaneGroup + 1;
+  ExperimentRequest request =
+      InlineRequest("fingerprint", instance, trials, 75);
+  const Result<ExperimentResult> buffered = service.Execute(request);
+  ASSERT_TRUE(buffered.ok()) << buffered.status();
+
+  request.stream = true;
+  std::vector<std::string> lines;
+  NdjsonTraceSink sink(
+      [&lines](std::string_view line) { lines.emplace_back(line); });
+  const Result<ExperimentResult> streamed = service.Execute(request, &sink);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  ASSERT_EQ(lines.size(), 2 * trials);
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    const std::string stamp = "\"trial\":" + std::to_string(trial);
+    EXPECT_NE(lines[2 * trial].find("\"event\":\"trial_begin\""),
+              std::string::npos);
+    EXPECT_NE(lines[2 * trial].find(stamp), std::string::npos);
+    EXPECT_NE(lines[2 * trial + 1].find("\"event\":\"trial_end\""),
+              std::string::npos);
+    EXPECT_NE(lines[2 * trial + 1].find(stamp), std::string::npos);
+  }
+  EXPECT_EQ(streamed.value().ToJson(), buffered.value().ToJson());
+}
+
+TEST(FingerprintServiceTest, Claim1OverTheCachedPoolMatchesSelfSieving) {
+  ArtifactCache cache(16);
+  ExperimentService service(cache);
+  Rng rng(76);
+  const problems::Instance instance =
+      problems::PerturbedMultisets(4, 24, 2, rng);
+  const std::uint64_t trials = 400;
+  const std::uint64_t seed = 77;
+  // A fingerprint request builds the (m, n) setup; claim1 then only
+  // hits the cache.
+  ASSERT_TRUE(
+      service.Execute(InlineRequest("fingerprint", instance, 1, seed)).ok());
+  const std::uint64_t misses = cache.stats().misses;
+  const Result<ExperimentResult> result =
+      service.Execute(InlineRequest("claim1", instance, trials, seed));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(cache.stats().misses, misses);
+
+  parallel::TrialRunner runner(2);
+  const fingerprint::Claim1Estimate reference =
+      fingerprint::EstimateClaim1CollisionRate(instance, trials, seed,
+                                               runner);
+  EXPECT_EQ(result.value().executed_trials, reference.trials);
+  EXPECT_EQ(result.value().extra, reference.collisions);
+  EXPECT_EQ(result.value().checksum,
+            parallel::Checksum64({reference.trials, reference.collisions}));
 }
 
 // ---------------------------------------------------------------------
