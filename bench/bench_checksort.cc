@@ -2,16 +2,18 @@
 // SET-EQUALITY and MULTISET-EQUALITY are decidable deterministically
 // with Theta(log N) sequential scans on a constant number of tapes.
 //
-// The table reports measured scans vs input size and the least-squares
-// fit scans ~= a*log2(N) + b; the paper predicts a positive constant
-// slope (tightness of the Theorem 6 lower bound at r = Theta(log N)).
+// The E3a-E3c tables report measured scans vs input size and the
+// least-squares fit scans ~= a*log2(N) + b at the paper geometry
+// (binary merges of one-field runs); the paper predicts a positive
+// constant slope (tightness of the Theorem 6 lower bound at
+// r = Theta(log N)).
 //
-// The E3d/E3e tables measure the parallel k-way external sort: thread
-// scaling at a fixed reversal budget (the measured (r, s) and the
-// output checksum must be identical at every thread count), and the
-// single-thread loser-tree k-way merge against the binary-cascade seed
-// sort. E3d's field count scales via RSTLAB_SORT_BENCH_FIELDS — the
-// GB-scale runs in EXPERIMENTS.md set it to tens of millions.
+// The E3d/E3e tables measure the k-way external sort: thread scaling
+// at a fixed reversal budget against the paper-geometry baseline (the
+// measured (r, s) and the output checksum must be identical at every
+// thread count), and a single-thread fanout sweep. E3d's field count
+// scales via RSTLAB_SORT_BENCH_FIELDS — the GB-scale runs in
+// EXPERIMENTS.md set it to tens of millions.
 
 #include <chrono>
 #include <cstdlib>
@@ -28,7 +30,6 @@
 #include "problems/generators.h"
 #include "problems/reference.h"
 #include "sorting/deciders.h"
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
@@ -90,10 +91,11 @@ std::uint64_t ContentChecksum(rstlab::stmodel::StContext& ctx,
   return h;
 }
 
-/// E3d: thread scaling of the parallel k-way sort at a fixed reversal
-/// budget. The serial seed sort (binary cascade) is the baseline; the
-/// k=16 rows must agree with each other in scans, int.bits and output
-/// checksum at every thread count — only the wall time may move.
+/// E3d: thread scaling of the k-way sort at a fixed reversal budget.
+/// The paper geometry (fanout 2, run length 1, one thread) is the
+/// baseline; the k=16 rows must agree with each other in scans,
+/// int.bits and output checksum at every thread count — only the wall
+/// time may move.
 void RunParallelSortTable(BenchRecorder& recorder) {
   const std::size_t m = EnvFields(1u << 17);
   const std::size_t n = 16;
@@ -104,25 +106,26 @@ void RunParallelSortTable(BenchRecorder& recorder) {
   Rng rng(0xE3D);
   const std::string input = RandomFields(m, n, rng);
 
-  double seed_wall = 0.0;
+  double paper_wall = 0.0;
   {
-    rstlab::stmodel::StContext ctx(3);
+    rstlab::stmodel::StContext ctx(1);
     ctx.LoadInput(input);
     const auto start = std::chrono::steady_clock::now();
-    if (rstlab::Status s = rstlab::sorting::SortFieldsOnTapes(ctx, 0, 1, 2);
+    if (rstlab::Status s = rstlab::sorting::ParallelSortFieldsOnTape(
+            ctx, 0, rstlab::sorting::kPaperSortConfig);
         !s.ok()) {
-      std::cerr << "E3d seed sort: " << s << "\n";
+      std::cerr << "E3d paper-geometry sort: " << s << "\n";
       return;
     }
-    seed_wall = Seconds(start);
+    paper_wall = Seconds(start);
     const auto report = ctx.Report();
     const std::uint64_t checksum = ContentChecksum(ctx, 0);
-    table.AddRow({"seed binary cascade", "1", FormatDouble(seed_wall),
+    table.AddRow({"paper geometry k=2 L=1", "1", FormatDouble(paper_wall),
                   "1.0", std::to_string(report.scan_bound),
                   std::to_string(report.internal_space),
                   std::to_string(checksum % 100000)});
-    recorder.Record("E3d_seed_sort_m" + std::to_string(m), /*trials=*/m,
-                    seed_wall,
+    recorder.Record("E3d_paper_geometry_m" + std::to_string(m),
+                    /*trials=*/m, paper_wall,
                     Checksum64({checksum, report.scan_bound,
                                 report.internal_space}));
   }
@@ -158,7 +161,7 @@ void RunParallelSortTable(BenchRecorder& recorder) {
                 << threads << " threads\n";
     }
     table.AddRow({"k-way loser tree", std::to_string(threads),
-                  FormatDouble(wall), FormatDouble(seed_wall / wall),
+                  FormatDouble(wall), FormatDouble(paper_wall / wall),
                   std::to_string(report.scan_bound),
                   std::to_string(report.internal_space),
                   std::to_string(checksum % 100000)});
@@ -174,9 +177,9 @@ void RunParallelSortTable(BenchRecorder& recorder) {
                "time scales)\n\n";
 }
 
-/// E3e: the loser-tree k-way merge against the binary cascade at one
-/// thread — the single-thread algorithmic win, isolated from thread
-/// scaling. Fanout sweep at fixed m.
+/// E3e: the loser-tree k-way merge at one thread across fanouts at
+/// fixed m and run length — the single-thread algorithmic trade-off,
+/// isolated from thread scaling.
 void RunLoserTreeTable(BenchRecorder& recorder) {
   const std::size_t m = 1u << 15;
   const std::size_t n = 16;
@@ -184,25 +187,6 @@ void RunLoserTreeTable(BenchRecorder& recorder) {
               {"engine", "fanout", "sec", "scans", "passes"});
   Rng rng(0xE3E);
   const std::string input = RandomFields(m, n, rng);
-  {
-    rstlab::stmodel::StContext ctx(3);
-    ctx.LoadInput(input);
-    rstlab::sorting::SortStats stats;
-    const auto start = std::chrono::steady_clock::now();
-    if (rstlab::Status s =
-            rstlab::sorting::SortFieldsOnTapes(ctx, 0, 1, 2, &stats);
-        !s.ok()) {
-      std::cerr << "E3e seed sort: " << s << "\n";
-      return;
-    }
-    const double wall = Seconds(start);
-    table.AddRow({"binary cascade", "2", FormatDouble(wall),
-                  std::to_string(ctx.Report().scan_bound),
-                  std::to_string(stats.passes)});
-    recorder.Record("E3e_binary_cascade_m" + std::to_string(m),
-                    /*trials=*/m, wall,
-                    Checksum64({ctx.Report().scan_bound, stats.passes}));
-  }
   for (const std::size_t fanout : {2u, 4u, 8u, 16u}) {
     rstlab::sorting::SortConfig config;
     config.fanout = fanout;
@@ -229,13 +213,19 @@ void RunLoserTreeTable(BenchRecorder& recorder) {
         Checksum64({ctx.Report().scan_bound, stats.merge_passes}));
   }
   table.Print(std::cout);
-  std::cout << "  (higher fanout buys fewer passes and fewer scans; the "
-               "loser tree keeps each pass at log2(k) compares per "
-               "field)\n\n";
+  std::cout << "  (higher fanout buys fewer passes, but each pass bills "
+               "4k scratch reversals, so here the scan bill rises with k "
+               "while wall time stays about flat; the loser tree keeps "
+               "each pass at log2(k) compares per field)\n\n";
 }
 
 void RunScalingTable(rstlab::problems::Problem problem,
                      const char* title) {
+  // The paper geometry (binary merges of one-field runs): at the
+  // default one, every size here is a single formation run and the fit
+  // would see no merge pass.
+  const rstlab::sorting::ScopedProcessSortConfig paper(
+      rstlab::sorting::kPaperSortConfig);
   Table table(title, {"m", "N", "scans", "int.bits", "correct"});
   Rng rng(0xC0FFEE);
   std::vector<double> ns;
@@ -322,12 +312,15 @@ int main(int argc, char** argv) {
   BenchRecorder recorder("bench_checksort", /*threads=*/8);
   recorder.set_metrics(obs.metrics());
   RunScalingTable(rstlab::problems::Problem::kCheckSort,
-                  "E3a: CHECK-SORT in ST(O(log N), O(n + log N), 5)");
+                  "E3a: CHECK-SORT in ST(O(log N), O(n + log N), 5) "
+                  "(k=2, L=1)");
   RunScalingTable(
       rstlab::problems::Problem::kMultisetEquality,
-      "E3b: MULTISET-EQUALITY in ST(O(log N), O(n + log N), 5)");
+      "E3b: MULTISET-EQUALITY in ST(O(log N), O(n + log N), 5) "
+      "(k=2, L=1)");
   RunScalingTable(rstlab::problems::Problem::kSetEquality,
-                  "E3c: SET-EQUALITY in ST(O(log N), O(n + log N), 5)");
+                  "E3c: SET-EQUALITY in ST(O(log N), O(n + log N), 5) "
+                  "(k=2, L=1)");
   RunParallelSortTable(recorder);
   RunLoserTreeTable(recorder);
   RunTracedExemplar(obs);

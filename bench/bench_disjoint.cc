@@ -19,6 +19,7 @@
 #include "obs/flags.h"
 #include "problems/disjoint_sets.h"
 #include "sorting/deciders.h"
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "util/random.h"
 
@@ -30,7 +31,11 @@ using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 
 void RunDeciderTable() {
-  Table table("E17a: DISJOINT-SETS deterministic decider",
+  // The paper geometry (binary merges of one-field runs): at the
+  // default one, every size here is a single formation run.
+  const rstlab::sorting::ScopedProcessSortConfig paper(
+      rstlab::sorting::kPaperSortConfig);
+  Table table("E17a: DISJOINT-SETS deterministic decider (k=2, L=1)",
               {"m", "N", "scans", "int.bits", "correct"});
   Rng rng(1717);
   std::vector<double> ns;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "check/diagnostics.h"
+#include "check/sort_certificate.h"
 
 namespace rstlab::check {
 
@@ -36,8 +37,7 @@ QueryCertificate CertifyQueryPlan(const QueryPlanShape& shape) {
   cert.shape.max_field_len = std::max<std::size_t>(1, shape.max_field_len);
   cert.shape.batch_size = std::max<std::size_t>(1, shape.batch_size);
   const std::uint64_t record = cert.shape.max_field_len;
-  const bool parallel = shape.fanout >= 2;
-  const std::uint64_t k = parallel ? shape.fanout : 2;
+  const std::uint64_t k = std::max<std::size_t>(2, shape.fanout);
   const std::uint64_t run = std::max<std::size_t>(1, shape.run_length);
 
   // --- Scans ---------------------------------------------------------
@@ -46,13 +46,11 @@ QueryCertificate CertifyQueryPlan(const QueryPlanShape& shape) {
   BoundExpr scans = BoundExpr::Constant(
       SatAdd(8, SatAdd(SatMul(2, shape.leaf_scans),
                        SatMul(2, SatAdd(shape.merge_ops, shape.joins)))));
-  // Each spill-lane sort over a degree-d stream: at most d*ceil(log2 N)
-  // cascade levels (serial, <= 8 reversals per level) or merge passes
-  // (parallel, 4k scratch reversals per pass), plus the drain, the
+  // Each spill-lane sort over a degree-d stream: its merge passes at
+  // 4k scratch reversals each (KWayMergePassScans), plus the drain, the
   // read-out scan and per-sort constants.
   for (const unsigned d : shape.sort_degrees) {
-    const std::uint64_t per_level = parallel ? SatMul(4, k) : 8;
-    scans += BoundExpr::LogN(SatMul(per_level, d)) + BoundExpr::Constant(16);
+    scans += KWayMergePassScans(k, d) + BoundExpr::Constant(16);
   }
   // Each doubling product of output degree d: ceil(log2 |A|) <=
   // d*ceil(log2 N) doublings at <= 8 reversals each, plus drains and
@@ -74,8 +72,7 @@ QueryCertificate CertifyQueryPlan(const QueryPlanShape& shape) {
   // ways, N-independent) plus counter blocks of d*ceil(log2 N) bits.
   for (const unsigned d : shape.sort_degrees) {
     const std::uint64_t buffers =
-        SatMul(SatAdd(parallel ? SatAdd(run, k) : 4, 8),
-               SatMul(8, SatAdd(record, 2)));
+        SatMul(SatAdd(SatAdd(run, k), 8), SatMul(8, SatAdd(record, 2)));
     const std::uint64_t counters = SatAdd(SatMul(3, k), 35);
     bits += BoundExpr::Constant(SatAdd(buffers, counters)) +
             BoundExpr::LogN(SatMul(counters, d));

@@ -18,9 +18,9 @@ namespace rstlab::check {
 /// stays independent of the query AST. The key quantity is the
 /// *degree* d of a stream: a leaf stream of an N-cell input has at
 /// most N fields (degree 1), and a product/join output's field count
-/// is the product of its operands', so its degree is the sum. A sort
-/// over a degree-d stream therefore runs at most
-/// ceil(log2(N^d)) <= d * ceil(log2 N) cascade levels — which is how
+/// is the product of its operands', so its degree is the sum. A k-way
+/// sort over a degree-d stream therefore runs at most
+/// d * ceil(log2 N) / floor(log2 k) + 1 merge passes — which is how
 /// plans built from sorts and constant-fold merges stay inside the
 /// Theorem 11 envelope r(N) = O(log N).
 struct QueryPlanShape {
@@ -49,9 +49,9 @@ struct QueryPlanShape {
   std::size_t max_field_len = 1;
   /// Engine batch size (tuples per Next()).
   std::size_t batch_size = 64;
-  /// Sort geometry: fanout 0 = serial binary cascade, >= 2 = parallel
-  /// k-way with the given formation run length.
-  std::size_t fanout = 0;
+  /// Sort geometry of the plan's k-way sorts: merge fanout (>= 2) and
+  /// formation run length.
+  std::size_t fanout = 8;
   std::size_t run_length = 1024;
 
   /// Renders e.g. "leaves=2 sorts=[1,1] merges=1 joins=0".

@@ -68,7 +68,7 @@ SortCertificate CertifyKWaySort(std::size_t num_fields,
   // enough for N), plus the larger of the two phase allocations — the
   // formation run buffer (run_length records) and the merge's k record
   // buffers with two position counters per way. One bit per buffered
-  // 0/1 character, the seed sort's convention. The trailing slack
+  // 0/1 character, as the sort bills it. The trailing slack
   // absorbs rounding, never an asymptotic term.
   const std::size_t ctr = BitsFor(std::max<std::size_t>(1, input_size));
   const std::size_t record = std::max<std::size_t>(1, max_field_len);
@@ -100,6 +100,18 @@ Status CheckSortCostsAgainstCertificate(const tape::ResourceReport& report,
   return Status::OK();
 }
 
+BoundExpr KWayMergePassScans(std::uint64_t fanout, std::uint64_t degree) {
+  const std::uint64_t k = std::max<std::uint64_t>(2, fanout);
+  std::uint64_t floor_log2_k = 0;
+  for (std::uint64_t v = k; v > 1; v >>= 1U) ++floor_log2_k;
+  const std::uint64_t per_pass = SatMul(4, k);
+  const std::uint64_t numerator = SatMul(per_pass, degree);
+  // Ceiling division without the +(d-1) trick, which could wrap.
+  const std::uint64_t coeff = numerator / floor_log2_k +
+                              (numerator % floor_log2_k != 0 ? 1 : 0);
+  return BoundExpr::LogN(coeff) + BoundExpr::Constant(per_pass);
+}
+
 std::string SymbolicSortCertificate::ToString() const {
   std::ostringstream os;
   os << "k=" << fanout << " L=" << run_length << " r<=" << scan_bound.ToString()
@@ -117,13 +129,11 @@ SymbolicSortCertificate CertifyKWaySortSymbolic(std::size_t max_field_len,
   const std::uint64_t k = cert.fanout;
   const std::uint64_t record = cert.max_field_len;
 
-  // Scans. On an N-cell input there are m <= N fields, so runs <= N
-  // and merge passes P = ceil(log_k(runs)) <= ceil(log2 N) (k >= 2).
+  // Scans. On an N-cell input there are m <= N fields, so runs <= N.
   // The concrete bill 9 + 4kP + 2 is therefore dominated by
-  //   11 + 4k * ceil(log2 N)  for every N >= 1,
-  // which also covers the degenerate m <= 1 bill of 3.
-  cert.scan_bound =
-      BoundExpr::Constant(11) + BoundExpr::LogN(SatMul(4, k));
+  //   11 + 4k + ceil(4k / floor(log2 k)) * ceil(log2 N)
+  // for every N >= 1, which also covers the degenerate m <= 1 bill of 3.
+  cert.scan_bound = BoundExpr::Constant(11) + KWayMergePassScans(k, 1);
 
   // Internal bits. Every counter is BitsFor(N) <= ceil(log2 N) + 1
   // bits wide and there are (k + 3) persistent ones plus 2k merge

@@ -52,11 +52,18 @@ SortCertificate CertifyKWaySort(std::size_t num_fields,
 Status CheckSortCostsAgainstCertificate(const tape::ResourceReport& report,
                                         const SortCertificate& cert);
 
+/// The merge-pass share of a k-way sort's scan bill over a degree-d
+/// stream (at most N^d fields, hence at most N^d runs), for every N:
+/// P = ceil(log_k runs) <= d * ceil(log2 N) / floor(log2 k) + 1 passes
+/// of 4k scratch reversals each, so
+///   4kP <= ceil(4kd / floor(log2 k)) * ceil(log2 N) + 4k.
+BoundExpr KWayMergePassScans(std::uint64_t fanout, std::uint64_t degree);
+
 /// The N-parametric form of the k-way sort certificate, valid for
 /// *every* input of N cells at the given geometry: on N cells there
-/// are m <= N '#'-terminated fields, so runs <= N and merge passes
-/// P = ceil(log_fanout(runs)) <= ceil(log2 N). The scratch bill
-/// 4*k*P + 2 is therefore O(log N) scans, and the counter block
+/// are m <= N '#'-terminated fields, so runs <= N and the scratch bill
+/// 4*k*P + 2 is `KWayMergePassScans(k, 1)` + 2 — O(log N) scans with
+/// a coefficient that shrinks by floor(log2 k). The counter block
 /// (k + 3 counters of BitsFor(N) bits each, plus two position
 /// counters per merge way) is O(log N) bits — a constant number of
 /// machine words. This is Corollary 7's ST(O(log N), O(1), 2)
@@ -69,7 +76,7 @@ struct SymbolicSortCertificate {
   BoundExpr scan_bound;
   BoundExpr internal_bits;
 
-  /// Renders e.g. "k=16 L=1024 r<=9 + 64*logN s<=...".
+  /// Renders e.g. "k=16 L=1024 r<=75 + 16*logN s<=...".
   std::string ToString() const;
 };
 

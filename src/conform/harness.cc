@@ -22,25 +22,30 @@ bool FaultInjectionEnabled() { return g_fault_injection; }
 
 const std::vector<const Suite*>& AllSuites() {
   // Fixed report order: cheap and broad first, so `conform all` output
-  // reads top-down from storage to algorithms.
-  static const auto* suites = [] {
-    auto* owned = new std::vector<std::unique_ptr<Suite>>();
-    owned->push_back(MakeTapeBackendSuite());
-    owned->push_back(MakeTrialTallySuite());
-    owned->push_back(MakeTmNlmSuite());
-    owned->push_back(MakeCertificateSuite());
-    owned->push_back(MakeSymbolicCheckSuite());
-    owned->push_back(MakeDeciderSuite());
-    owned->push_back(MakeSortSuite());
-    owned->push_back(MakeXmlRoundTripSuite());
-    owned->push_back(MakeFingerprintBatchSuite());
-    owned->push_back(MakeServeShardSuite());
-    owned->push_back(MakeQueryEngineSuite());
-    auto* views = new std::vector<const Suite*>();
-    for (const auto& suite : *owned) views->push_back(suite.get());
-    return views;
+  // reads top-down from storage to algorithms. Both vectors are held by
+  // statics for the life of the process, so the suites stay reachable
+  // (no leak at exit) and are never destroyed under a late caller.
+  static const auto* owned = [] {
+    auto* suites = new std::vector<std::unique_ptr<Suite>>();
+    suites->push_back(MakeTapeBackendSuite());
+    suites->push_back(MakeTrialTallySuite());
+    suites->push_back(MakeTmNlmSuite());
+    suites->push_back(MakeCertificateSuite());
+    suites->push_back(MakeSymbolicCheckSuite());
+    suites->push_back(MakeDeciderSuite());
+    suites->push_back(MakeSortSuite());
+    suites->push_back(MakeXmlRoundTripSuite());
+    suites->push_back(MakeFingerprintBatchSuite());
+    suites->push_back(MakeServeShardSuite());
+    suites->push_back(MakeQueryEngineSuite());
+    return suites;
   }();
-  return *suites;
+  static const auto* views = [] {
+    auto* pointers = new std::vector<const Suite*>();
+    for (const auto& suite : *owned) pointers->push_back(suite.get());
+    return pointers;
+  }();
+  return *views;
 }
 
 const Suite* FindSuite(const std::string& name) {

@@ -267,8 +267,9 @@ Result<SimulationResult> SimulateTmAsNlm(
               has_event[i] && !is_cross[i];
           if (turning) {
             // (+1,false) with d=-1: head lands on the inserted cell.
-            ls.cells[h + 1].begin =
-                std::max(ls.cells[h].begin, std::min(p, cur.begin));
+            // `cur` may dangle here: the insert can reallocate.
+            ls.cells[h + 1].begin = std::max(
+                ls.cells[h].begin, std::min(p, ls.cells[h].begin));
             ls.cells[h].end = ls.cells[h + 1].begin;
             ls.head = h + 1;
             record.cell_moves[i] = +1;

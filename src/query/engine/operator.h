@@ -34,9 +34,7 @@ struct EngineConfig {
   /// Tuples per Next() batch (also the internal-memory granularity the
   /// pipeline buffers are metered at).
   std::size_t batch_size = 64;
-  /// Sort geometry for the operators' spill-lane sorts
-  /// (`sorting::SortForDecider` semantics: fanout 0 = serial cascade,
-  /// >= 2 = parallel k-way on spill lanes).
+  /// Sort geometry for the operators' k-way spill-lane sorts.
   sorting::SortConfig sort = sorting::DefaultSortConfig();
   /// Worker threads for shared-scan evaluation of registered queries.
   std::size_t threads = 1;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "query/relation.h"
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "stmodel/st_context.h"
 #include "stmodel/tape_io.h"
@@ -290,7 +289,7 @@ class AppendOp final : public BinaryOp {
 // ---------------------------------------------------------------------
 // Sort
 
-/// Drains the child onto tape 0 of a private 3-tape scratch context,
+/// Drains the child onto the tape of a private 1-tape scratch context,
 /// sorts it with the configured geometry (spill lanes on the caller's
 /// backend), then streams the sorted fields. The scratch context's
 /// measured report — drain writes, every sort pass, the read-out scan —
@@ -304,8 +303,7 @@ class SortOp final : public UnaryOp {
 
   Status Open() override {
     RSTLAB_RETURN_IF_ERROR(child_->Open());
-    scratch_ =
-        std::make_unique<stmodel::StContext>(3, *env_.storage);
+    scratch_ = std::make_unique<stmodel::StContext>(1, *env_.storage);
     tape::Tape& t = scratch_->tape(0);
     std::string chunk;
     std::size_t longest = 0;
@@ -334,12 +332,8 @@ class SortOp final : public UnaryOp {
       return Status::Internal(
           "injected engine fault: sort failed after drain");
     }
-    Status sorted =
-        sorting::UsesParallelPath(env_.config->sort)
-            ? sorting::ParallelSortFieldsOnTape(*scratch_, 0,
-                                                env_.config->sort)
-            : sorting::SortFieldsOnTapes(*scratch_, 0, 1, 2);
-    RSTLAB_RETURN_IF_ERROR(sorted);
+    RSTLAB_RETURN_IF_ERROR(
+        sorting::ParallelSortFieldsOnTape(*scratch_, 0, env_.config->sort));
     env_.cost->CountSort();
     stmodel::Rewind(t);
     return Status::OK();

@@ -39,13 +39,12 @@ StreamOperatorPtr MakeProjectMap(StreamOperatorPtr child,
 StreamOperatorPtr MakeAppend(StreamOperatorPtr a, StreamOperatorPtr b,
                              OperatorEnv env);
 
-/// Blocking sort: drains the child onto a private scratch context
-/// (spill lanes on the caller's backend, `sorting::SortForDecider`
-/// dispatch: serial cascade or parallel k-way by `config.sort`), then
-/// streams the fields in ascending order, collapsing duplicates when
-/// `dedup`. The scratch context's measured (r, s) is folded into the
-/// query bill at Close; Close also releases the lanes on success and
-/// failure paths alike.
+/// Blocking sort: drains the child onto a private scratch context,
+/// sorts it with the k-way sort at `config.sort` (spill lanes on the
+/// caller's backend), then streams the fields in ascending order,
+/// collapsing duplicates when `dedup`. The scratch context's measured
+/// (r, s) is folded into the query bill at Close; Close also releases
+/// the lanes on success and failure paths alike.
 StreamOperatorPtr MakeSort(StreamOperatorPtr child, bool dedup,
                            OperatorEnv env);
 

@@ -4,9 +4,9 @@
 #include <cassert>
 #include <optional>
 
+#include "sorting/parallel_sort.h"
 #include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
-#include "sorting/merge_sort.h"
 
 namespace rstlab::query {
 
@@ -216,8 +216,9 @@ constexpr std::size_t kInputTape = 0;
 constexpr std::size_t kStackTape = 1;
 constexpr std::size_t kOperandA = 2;
 constexpr std::size_t kOperandB = 3;
-constexpr std::size_t kSortAux1 = 4;
-constexpr std::size_t kSortAux2 = 5;
+/// The product's doubling partner for kOperandB. Tape 5 of the
+/// kRelAlgTapes layout is unused: the k-way sort spills to its own lanes.
+constexpr std::size_t kDoublingTape = 4;
 
 /// One materialized intermediate result: `count` fields starting at cell
 /// `start` of the stack tape. (Per-query-constant bookkeeping, i.e. part
@@ -331,10 +332,10 @@ class TapeEvaluator {
   }
 
   /// Sorts the `count` fields at the start of `tape_index` (terminated
-  /// with a blank by CopySegmentTo).
+  /// with a blank by CopySegmentTo) at the process-default geometry.
   Status SortOperand(std::size_t tape_index) {
-    return sorting::SortFieldsOnTapes(ctx_, tape_index, kSortAux1,
-                                      kSortAux2);
+    return sorting::ParallelSortFieldsOnTape(ctx_, tape_index,
+                                             sorting::DefaultSortConfig());
   }
 
   Result<Segment> EvalUnion(const RelAlgExprPtr& expr) {
@@ -481,7 +482,7 @@ class TapeEvaluator {
     // doubling between the two aux tapes: O(log |A|) passes.
     std::size_t copies = 1;
     std::size_t cur = kOperandB;
-    std::size_t other = kSortAux1;
+    std::size_t other = kDoublingTape;
     while (copies < a.value().count) {
       tape::Tape& src = ctx_.tape(cur);
       tape::Tape& dst = ctx_.tape(other);

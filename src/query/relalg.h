@@ -88,9 +88,9 @@ std::string EncodeDatabaseStream(
 /// de-duplicate, and products replicate the inner operand by repeated
 /// doubling (O(log N) scans) before a single pairing pass. The measured
 /// resource profile is r(N) = c_Q * log N scans on a constant number of
-/// tapes, with internal memory O(max tuple bytes + log N) for the merge
-/// comparison buffers (see sorting/merge_sort.h for the Chen-Yap
-/// O(1)-space remark).
+/// tapes, with internal memory O(max tuple bytes + log N) for the sort's
+/// record buffers (see sorting/deciders.h for the Chen-Yap O(1)-space
+/// remark).
 ///
 /// Returns the query result (also left as the final stack segment).
 Result<Relation> EvaluateOnTapes(const RelAlgExprPtr& expr,

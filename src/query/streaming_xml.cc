@@ -4,7 +4,7 @@
 #include <string>
 
 #include "query/xml_events.h"
-#include "sorting/merge_sort.h"
+#include "sorting/parallel_sort.h"
 #include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
 #include "tape/tape.h"
@@ -157,8 +157,9 @@ Result<bool> FilterPaperXPathOnTapes(stmodel::StContext& ctx) {
   std::size_t count_x = 0;
   std::size_t count_y = 0;
   RSTLAB_RETURN_IF_ERROR(ExtractSetValues(ctx, 1, 2, &count_x, &count_y));
-  RSTLAB_RETURN_IF_ERROR(sorting::SortFieldsOnTapes(ctx, 1, 3, 4));
-  RSTLAB_RETURN_IF_ERROR(sorting::SortFieldsOnTapes(ctx, 2, 3, 4));
+  const sorting::SortConfig sort = sorting::DefaultSortConfig();
+  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 1, sort));
+  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 2, sort));
 
   // The query selects a node iff some X value is absent from Y.
   ctx.tape(1).Seek(0);
@@ -182,8 +183,9 @@ Result<bool> EvaluatePaperXQueryOnTapes(stmodel::StContext& ctx) {
   std::size_t count_x = 0;
   std::size_t count_y = 0;
   RSTLAB_RETURN_IF_ERROR(ExtractSetValues(ctx, 1, 2, &count_x, &count_y));
-  RSTLAB_RETURN_IF_ERROR(sorting::SortFieldsOnTapes(ctx, 1, 3, 4));
-  RSTLAB_RETURN_IF_ERROR(sorting::SortFieldsOnTapes(ctx, 2, 3, 4));
+  const sorting::SortConfig sort = sorting::DefaultSortConfig();
+  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 1, sort));
+  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 2, sort));
 
   // Set equality of the sorted sequences, duplicates collapsed.
   ctx.tape(1).Seek(0);

@@ -20,7 +20,8 @@ namespace rstlab::query {
 ///
 /// Tape layout: serialized document on tape 0 of a context with at
 /// least 5 tapes; tapes 1 and 2 receive the extracted values, 3 and 4
-/// are sort scratch.
+/// stay reserved (the process-default k-way sort spills to its own
+/// lanes).
 
 /// Number of external tapes required.
 inline constexpr std::size_t kStreamingXmlTapes = 5;

@@ -3,7 +3,6 @@
 #include <optional>
 #include <string>
 
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
@@ -74,9 +73,7 @@ Result<bool> DecideOnTapes(problems::Problem problem,
   switch (problem) {
     case problems::Problem::kCheckSort: {
       // Sort the first list; the instance is a "yes" iff the sorted
-      // first list equals the second list verbatim. SortForDecider
-      // routes to the parallel k-way sort when the process sort config
-      // selects it, else to the serial seed sort.
+      // first list equals the second list verbatim.
       RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
       return SequencesEqual(ctx, 1, 2, m);
     }

@@ -6,7 +6,7 @@
 #include "fingerprint/fingerprint.h"
 #include "problems/instance.h"
 #include "sorting/deciders.h"
-#include "sorting/merge_sort.h"
+#include "sorting/parallel_sort.h"
 #include "stmodel/tape_io.h"
 
 namespace rstlab::sorting {
@@ -62,7 +62,7 @@ Result<bool> CheckSortViaSorting(stmodel::StContext& ctx) {
   for (std::size_t i = 0; i < m; ++i) {
     stmodel::CopyField(in, ctx.tape(2));
   }
-  RSTLAB_RETURN_IF_ERROR(SortFieldsOnTapes(ctx, 1, 3, 4));
+  RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
   ctx.tape(1).Seek(0);
   ctx.tape(2).Seek(0);
   for (std::size_t i = 0; i < m; ++i) {

@@ -11,9 +11,8 @@ namespace rstlab::sorting {
 /// merge selector. Each source exposes its current front field via a
 /// stable `const std::string*` owned by the caller (nullptr =
 /// exhausted); popping the overall minimum and replaying the new front
-/// costs O(log k) comparisons, versus the O(k) linear scan of the seed
-/// `SortFieldsOnTapesKWay` (the E-series microbench quantifies the
-/// difference across fanouts).
+/// costs O(log k) comparisons instead of an O(k) linear scan over the
+/// fronts (E3e sweeps the fanout).
 ///
 /// Ties break on the lower slot index, so the merge is stable with
 /// respect to the deterministic run numbering — one of the invariants

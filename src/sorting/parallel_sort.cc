@@ -609,8 +609,8 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
   stmodel::InternalArena& arena = ctx.arena();
   const std::size_t ctr_bits =
       stmodel::BitsFor(std::max<std::size_t>(1, ctx.input_size()));
-  // Internal-memory bill, same convention as the seed sort (1 bit per
-  // 0/1 character of a buffered record, counters at BitsFor(N)): the
+  // Internal-memory bill (1 bit per 0/1 character of a buffered
+  // record, counters at BitsFor(N)): the
   // formation run buffer, then the merge's fanout record buffers plus
   // the loser tree's slot registers. All formula-shaped, hence
   // identical at every thread count and on every backend.
@@ -872,14 +872,11 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
 }
 
 Status SortForDecider(stmodel::StContext& ctx, std::size_t src,
-                      std::size_t aux1, std::size_t aux2, SortStats* stats) {
-  const SortConfig config = DefaultSortConfig();
-  if (!UsesParallelPath(config)) {
-    return SortFieldsOnTapes(ctx, src, aux1, aux2, stats);
-  }
+                      std::size_t /*aux1*/, std::size_t /*aux2*/,
+                      SortStats* stats) {
   ParallelSortStats parallel_stats;
-  RSTLAB_RETURN_IF_ERROR(
-      ParallelSortFieldsOnTape(ctx, src, config, &parallel_stats));
+  RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(
+      ctx, src, DefaultSortConfig(), &parallel_stats));
   if (stats != nullptr) {
     stats->num_fields = parallel_stats.num_fields;
     stats->passes = parallel_stats.num_fields <= 1

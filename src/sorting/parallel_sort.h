@@ -5,12 +5,23 @@
 #include <cstdint>
 
 #include "extmem/io_stats.h"
-#include "sorting/merge_sort.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "util/status.h"
 
 namespace rstlab::sorting {
+
+/// Statistics of one sort as the decision procedures see it.
+struct SortStats {
+  /// Passes over the data: run formation plus the k-way merge passes
+  /// (0 when there is at most one field).
+  std::size_t passes = 0;
+  /// Number of '#'-terminated fields sorted.
+  std::size_t num_fields = 0;
+  /// Block I/O of the source tape plus every spill lane, delta over the
+  /// sort (all zero on the in-memory backend).
+  extmem::IoStats io;
+};
 
 /// Statistics of one parallel k-way external sort.
 struct ParallelSortStats {
@@ -34,8 +45,9 @@ struct ParallelSortStats {
 };
 
 /// Sorts the '#'-terminated fields of tape `src` in ascending
-/// lexicographic order by parallel k-way external merge sort
-/// (`config.fanout` >= 2 required):
+/// lexicographic order by k-way external merge sort (`config.fanout`
+/// >= 2 required) — the one external sort, behind every decider, query
+/// and serve request:
 ///
 ///   1. run formation — the input is cut into runs of
 ///      `config.run_length` fields, sorted in internal memory by the
@@ -48,6 +60,9 @@ struct ParallelSortStats {
 ///      every worker stays busy down to the final pass;
 ///   3. a final sequential scan concatenates the surviving run back
 ///      onto `src`.
+///
+/// The paper's binary merge sort is the geometry `kPaperSortConfig`
+/// (fanout 2, run length 1, one thread): ceil(log2 m) merge passes.
 ///
 /// The sorted output, the run/slice structure and the measured (r, s)
 /// are bit-identical at every `config.threads` and on both storage
@@ -66,11 +81,10 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
                                 const SortConfig& config,
                                 ParallelSortStats* stats = nullptr);
 
-/// The config-dispatched sort the decision procedures use: routes to
-/// `ParallelSortFieldsOnTape` when `DefaultSortConfig()` selects the
-/// parallel path (fanout >= 2), else to the serial seed
-/// `SortFieldsOnTapes(ctx, src, aux1, aux2)`. `stats->passes` counts
-/// formation plus merge passes on the parallel path.
+/// The sort the decision procedures use: `ParallelSortFieldsOnTape`
+/// at the process default `DefaultSortConfig()`. The k-way sort spills
+/// to its own lanes, so `aux1` and `aux2` (the decider layout's
+/// working tapes) are left untouched.
 Status SortForDecider(stmodel::StContext& ctx, std::size_t src,
                       std::size_t aux1, std::size_t aux2,
                       SortStats* stats = nullptr);

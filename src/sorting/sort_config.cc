@@ -31,6 +31,19 @@ SortConfig* ProcessConfigSlot() {
 
 bool g_process_config_set = false;
 
+/// The one fanout rule for flag and environment alike: a fanout below 2
+/// is no merge, so warn and keep `*fanout`.
+void SetFanout(const char* source, std::size_t value, std::size_t* fanout) {
+  if (value >= 2) {
+    *fanout = value;
+    return;
+  }
+  std::fprintf(stderr,
+               "rstlab sorting: ignoring %s=%zu (want a merge fanout >= 2); "
+               "keeping %zu\n",
+               source, value, *fanout);
+}
+
 /// Parses the value of `--name=` flags; returns fallback (with a
 /// warning) on garbage.
 std::size_t FlagSize(const char* arg, const char* value,
@@ -46,10 +59,6 @@ std::size_t FlagSize(const char* arg, const char* value,
 
 }  // namespace
 
-bool UsesParallelPath(const SortConfig& config) {
-  return config.fanout >= 2;
-}
-
 void SetProcessSortConfig(const SortConfig& config) {
   *ProcessConfigSlot() = config;
   g_process_config_set = true;
@@ -60,13 +69,8 @@ SortConfig DefaultSortConfig() {
   SortConfig config;
   config.threads =
       std::max<std::size_t>(1, EnvSize("RSTLAB_SORT_THREADS", config.threads));
-  config.fanout = EnvSize("RSTLAB_MERGE_FANOUT", config.fanout);
-  if (config.fanout == 1) {
-    std::fprintf(stderr,
-                 "rstlab sorting: RSTLAB_MERGE_FANOUT=1 is not a merge; "
-                 "keeping the serial path\n");
-    config.fanout = 0;
-  }
+  SetFanout("RSTLAB_MERGE_FANOUT",
+            EnvSize("RSTLAB_MERGE_FANOUT", config.fanout), &config.fanout);
   config.run_length = std::max<std::size_t>(
       1, EnvSize("RSTLAB_RUN_LENGTH", config.run_length));
   return config;
@@ -83,13 +87,8 @@ SortConfig ParseSortFlags(int* argc, char** argv) {
       continue;
     }
     if (std::strncmp(arg, "--merge-fanout=", 15) == 0) {
-      const std::size_t fanout = FlagSize(arg, arg + 15, config.fanout);
-      if (fanout == 1) {
-        std::fprintf(stderr, "rstlab sorting: ignoring %s (want 0 or >= 2)\n",
-                     arg);
-      } else {
-        config.fanout = fanout;
-      }
+      SetFanout("--merge-fanout", FlagSize(arg, arg + 15, config.fanout),
+                &config.fanout);
       continue;
     }
     if (std::strncmp(arg, "--run-length=", 13) == 0) {

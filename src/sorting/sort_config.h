@@ -5,9 +5,9 @@
 
 namespace rstlab::sorting {
 
-/// Configuration of the parallel k-way external merge sort — the knob
-/// set behind `--sort-threads` / `--merge-fanout` and their environment
-/// fallbacks (`RSTLAB_SORT_THREADS`, `RSTLAB_MERGE_FANOUT`,
+/// Geometry of the k-way external merge sort — the knob set behind
+/// `--sort-threads` / `--merge-fanout` / `--run-length` and their
+/// environment fallbacks (`RSTLAB_SORT_THREADS`, `RSTLAB_MERGE_FANOUT`,
 /// `RSTLAB_RUN_LENGTH`).
 ///
 /// Everything that shapes the *algorithm* (fanout, run_length,
@@ -19,10 +19,8 @@ struct SortConfig {
   /// Worker threads for run formation and merging (1 = everything runs
   /// inline on the calling thread).
   std::size_t threads = 1;
-  /// Merge fanout k (runs merged per group). 0 keeps the serial
-  /// binary-cascade seed path (`SortFieldsOnTapes`); >= 2 selects the
-  /// parallel k-way sort.
-  std::size_t fanout = 0;
+  /// Merge fanout k (runs merged per group), >= 2.
+  std::size_t fanout = 8;
   /// Fields per formation run. Constant with respect to N, which is
   /// what keeps the internal-memory bill at O(1) in N (Corollary 7
   /// shape); the pass count is then ceil(log_fanout(m / run_length)).
@@ -37,26 +35,48 @@ struct SortConfig {
   bool inject_failure_before_merge = false;
 };
 
-/// True iff `config` selects the parallel k-way path (fanout >= 2).
-bool UsesParallelPath(const SortConfig& config);
+/// Corollary 7's sort as the paper states it: binary merges of
+/// one-field runs on one thread, so the sort makes ceil(log2 m) merge
+/// passes and every doubling of m adds one. The Theta(log N) tests and
+/// fits run at this geometry: at the default one, every input of up to
+/// `run_length` fields is a single formation run and no merge pass.
+inline constexpr SortConfig kPaperSortConfig{
+    .threads = 1, .fanout = 2, .run_length = 1};
 
 /// Process-default config: the override installed by
 /// `SetProcessSortConfig` if any, else RSTLAB_SORT_THREADS /
-/// RSTLAB_MERGE_FANOUT / RSTLAB_RUN_LENGTH read from the environment,
-/// else the serial seed path. `sorting::SortForDecider` consults this,
-/// which is how CI pushes the whole decider suite through the parallel
-/// sort without touching each test.
+/// RSTLAB_MERGE_FANOUT / RSTLAB_RUN_LENGTH read from the environment
+/// over the `SortConfig` defaults. `sorting::SortForDecider` consults
+/// this, which is how CI pushes the whole decider suite through another
+/// geometry without touching each test.
 SortConfig DefaultSortConfig();
 
 /// Installs `config` as the process default handed out by
 /// `DefaultSortConfig()`.
 void SetProcessSortConfig(const SortConfig& config);
 
+/// Installs `config` as the process default for the guard's lifetime
+/// and restores the previous default when it goes out of scope.
+class ScopedProcessSortConfig {
+ public:
+  explicit ScopedProcessSortConfig(const SortConfig& config)
+      : saved_(DefaultSortConfig()) {
+    SetProcessSortConfig(config);
+  }
+  ~ScopedProcessSortConfig() { SetProcessSortConfig(saved_); }
+  ScopedProcessSortConfig(const ScopedProcessSortConfig&) = delete;
+  ScopedProcessSortConfig& operator=(const ScopedProcessSortConfig&) =
+      delete;
+
+ private:
+  SortConfig saved_;
+};
+
 /// Extracts `--sort-threads=T`, `--merge-fanout=K` and `--run-length=L`
 /// from argv (removing them, like `extmem::ParseBackendFlags`),
 /// starting from `DefaultSortConfig()` so flags override environment
-/// overrides defaults. Unrecognized values keep the default and warn on
-/// stderr.
+/// overrides defaults. Unparsable values, and a fanout below 2 from the
+/// flag or the environment, warn on stderr and keep the default.
 SortConfig ParseSortFlags(int* argc, char** argv);
 
 }  // namespace rstlab::sorting

@@ -1,14 +1,19 @@
-// Property and unit tests for the parallel k-way external merge sort:
-// the loser tree, the sort itself across the full fanout x thread
-// matrix (output and measured (r, s) bit-identical to the serial run),
-// backend independence, the RST015 sort certificate, spill-lane
-// cleanup on success and failure, and the decider routing switch.
+// Property and unit tests for the k-way external merge sort, the one
+// external sort: the loser tree, the sort itself across the full
+// fanout x thread matrix (output and measured (r, s) bit-identical to
+// the serial run), the paper geometry's ceil(log2 m) passes and
+// Theta(log N) scans, backend independence, the RST015 sort
+// certificate, spill-lane cleanup on success and failure, the decider
+// entry point and the fanout flag/environment rule.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +24,6 @@
 #include "obs/metrics.h"
 #include "sorting/deciders.h"
 #include "sorting/loser_tree.h"
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
@@ -199,16 +203,12 @@ TEST_P(ParallelSortMatrixTest, MatchesStdSortAndSerialAtEveryThreadCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, ParallelSortMatrixTest,
-                         ::testing::Values(2, 3, 4, 8, 16));
+                         ::testing::Values(2, 3, 4, 6, 8, 16));
 
-TEST(ParallelSortTest, AgreesWithSerialSeedSort) {
+TEST(ParallelSortTest, AgreesWithStdSort) {
   Rng rng(77);
   for (const std::size_t m : {0u, 1u, 2u, 5u, 33u, 128u, 300u}) {
     std::vector<std::string> input = RandomMultiset(m, rng);
-    stmodel::StContext seed_ctx(3);
-    seed_ctx.LoadInput(JoinFields(input));
-    ASSERT_TRUE(SortFieldsOnTapes(seed_ctx, 0, 1, 2).ok());
-
     SortConfig config;
     config.fanout = 4;
     config.threads = 4;
@@ -216,8 +216,137 @@ TEST(ParallelSortTest, AgreesWithSerialSeedSort) {
     stmodel::StContext ctx(1);
     ctx.LoadInput(JoinFields(input));
     ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, config).ok());
-    EXPECT_EQ(TapeFields(ctx, 0), TapeFields(seed_ctx, 0)) << "m=" << m;
+    std::sort(input.begin(), input.end());
+    EXPECT_EQ(TapeFields(ctx, 0), input) << "m=" << m;
   }
+}
+
+// ---------------------------------------------------------------------
+// Fixed cases, at the paper geometry and at the default one
+// ---------------------------------------------------------------------
+
+class ParallelSortCasesTest
+    : public ::testing::TestWithParam<std::vector<std::string>> {};
+
+TEST_P(ParallelSortCasesTest, SortsLikeStdSort) {
+  std::vector<std::string> expected = GetParam();
+  std::sort(expected.begin(), expected.end());
+  for (const SortConfig& config : {kPaperSortConfig, SortConfig{}}) {
+    SCOPED_TRACE("fanout " + std::to_string(config.fanout));
+    stmodel::StContext ctx(1);
+    ctx.LoadInput(JoinFields(GetParam()));
+    ParallelSortStats stats;
+    const Status status = ParallelSortFieldsOnTape(ctx, 0, config, &stats);
+    ASSERT_TRUE(status.ok()) << status;
+    EXPECT_EQ(TapeFields(ctx, 0), expected);
+    EXPECT_EQ(stats.num_fields, GetParam().size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ParallelSortCasesTest,
+    ::testing::Values(
+        std::vector<std::string>{},
+        std::vector<std::string>{"1"},
+        std::vector<std::string>{"1", "0"},
+        std::vector<std::string>{"0", "1"},
+        std::vector<std::string>{"10", "01", "11", "00"},
+        std::vector<std::string>{"1", "1", "1"},
+        std::vector<std::string>{"01", "0", "011", "0011", "0"},
+        std::vector<std::string>{"111", "110", "101", "100", "011",
+                                 "010", "001", "000"},
+        std::vector<std::string>{"0101", "0101", "1010", "1010",
+                                 "0101"}));
+
+TEST(ParallelSortTest, TiesKeepEveryCopy) {
+  for (const SortConfig& config : {kPaperSortConfig, SortConfig{}}) {
+    stmodel::StContext ctx(1);
+    ctx.LoadInput("1#1#1#1#1#");
+    ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, config).ok());
+    EXPECT_EQ(TapeFields(ctx, 0),
+              (std::vector<std::string>{"1", "1", "1", "1", "1"}));
+  }
+}
+
+// ---------------------------------------------------------------------
+// The paper geometry: ceil(log2 m) passes, Theta(log N) scans
+// ---------------------------------------------------------------------
+
+class PaperGeometryTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PaperGeometryTest, SortsRandomInputsInLog2Passes) {
+  const std::size_t m = GetParam();
+  Rng rng(m);
+  std::vector<std::string> fields;
+  for (std::size_t i = 0; i < m; ++i) {
+    fields.push_back(BitString::Random(8, rng).ToString());
+  }
+  stmodel::StContext ctx(1);
+  ctx.LoadInput(JoinFields(fields));
+  ParallelSortStats stats;
+  ASSERT_TRUE(
+      ParallelSortFieldsOnTape(ctx, 0, kPaperSortConfig, &stats).ok());
+  std::sort(fields.begin(), fields.end());
+  EXPECT_EQ(TapeFields(ctx, 0), fields);
+  EXPECT_EQ(stats.num_runs, m);
+  EXPECT_EQ(stats.merge_passes,
+            static_cast<std::size_t>(
+                std::ceil(std::log2(static_cast<double>(m)))));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PaperGeometryTest,
+                         ::testing::Values(2, 3, 7, 16, 33, 100, 255,
+                                           256, 500));
+
+TEST(PaperGeometrySortTest, ReversalsGrowLogarithmically) {
+  // Doubling the field count adds one merge pass, hence a constant
+  // number of reversals (4k = 8 at fanout 2).
+  std::vector<std::uint64_t> scans;
+  Rng rng(3);
+  for (std::size_t m : {64u, 128u, 256u, 512u}) {
+    std::vector<std::string> fields;
+    for (std::size_t i = 0; i < m; ++i) {
+      fields.push_back(BitString::Random(16, rng).ToString());
+    }
+    stmodel::StContext ctx(1);
+    ctx.LoadInput(JoinFields(fields));
+    ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, kPaperSortConfig).ok());
+    scans.push_back(ctx.Report().scan_bound);
+  }
+  const std::uint64_t d1 = scans[1] - scans[0];
+  EXPECT_GT(d1, 0u);
+  EXPECT_LE(d1, 16u);
+  // Consecutive deltas are equal: the signature of c*log N growth.
+  EXPECT_EQ(scans[2] - scans[1], d1);
+  EXPECT_EQ(scans[3] - scans[2], d1);
+}
+
+TEST(ParallelSortTest, MoreFanoutFewerPasses) {
+  Rng rng(7);
+  std::vector<std::string> fields;
+  for (std::size_t i = 0; i < 256; ++i) {
+    fields.push_back(BitString::Random(10, rng).ToString());
+  }
+  std::vector<std::size_t> passes;
+  std::vector<std::uint64_t> scans;
+  for (std::size_t k : {2u, 4u, 8u}) {
+    SortConfig config = kPaperSortConfig;
+    config.fanout = k;
+    stmodel::StContext ctx(1);
+    ctx.LoadInput(JoinFields(fields));
+    ParallelSortStats stats;
+    ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, config, &stats).ok());
+    passes.push_back(stats.merge_passes);
+    scans.push_back(ctx.Report().scan_bound);
+  }
+  // ceil(log_k 256): 8, 4, 3.
+  EXPECT_EQ(passes[0], 8u);
+  EXPECT_EQ(passes[1], 4u);
+  EXPECT_EQ(passes[2], 3u);
+  // Passes fall with k, but the model's r sums reversals over all 2k
+  // tapes (Definition 1): each pass costs 4k, so k = 8 pays more than
+  // its 3 passes save against k = 4.
+  EXPECT_LT(scans[1], scans[2]);
 }
 
 TEST(ParallelSortTest, HandlesUnterminatedTrailingField) {
@@ -236,6 +365,8 @@ TEST(ParallelSortTest, RejectsBadArguments) {
   stmodel::StContext ctx(1);
   ctx.LoadInput("1#");
   SortConfig config;
+  config.fanout = 0;
+  EXPECT_FALSE(ParallelSortFieldsOnTape(ctx, 0, config).ok());
   config.fanout = 1;
   EXPECT_FALSE(ParallelSortFieldsOnTape(ctx, 0, config).ok());
   config.fanout = 2;
@@ -416,53 +547,87 @@ TEST(ParallelSortTest, SpillLanesUnlinkedOnSuccessAndFailure) {
 }
 
 // ---------------------------------------------------------------------
-// Decider routing
+// The decider entry point and the fanout rule
 // ---------------------------------------------------------------------
 
-TEST(SortForDeciderTest, RoutesByProcessConfig) {
-  const SortConfig saved = DefaultSortConfig();
+TEST(SortForDeciderTest, SortsAtTheProcessConfig) {
   Rng rng(21);
   std::vector<std::string> input = RandomMultiset(60, rng);
+  std::vector<std::string> expected = input;
+  std::sort(expected.begin(), expected.end());
 
-  // Legacy path (fanout 0): identical to the serial seed sort.
-  SortConfig legacy;
-  legacy.fanout = 0;
-  SetProcessSortConfig(legacy);
-  stmodel::StContext legacy_ctx(kDeciderTapes);
-  legacy_ctx.LoadInput(JoinFields(input));
-  ASSERT_TRUE(SortInputToTape(legacy_ctx).ok());
+  SortConfig four_way;
+  four_way.fanout = 4;
+  four_way.threads = 4;
+  four_way.run_length = 8;
+  // (geometry, expected formation + merge passes): 60 runs of one field
+  // take 6 binary merge passes; 8 runs of 8 take 2 four-way passes.
+  const std::pair<SortConfig, std::size_t> cases[] = {
+      {kPaperSortConfig, 1 + 6}, {four_way, 1 + 2}};
+  for (const auto& [config, passes] : cases) {
+    SCOPED_TRACE("fanout " + std::to_string(config.fanout));
+    const ScopedProcessSortConfig scoped(config);
+    stmodel::StContext ctx(kDeciderTapes);
+    ctx.LoadInput(JoinFields(input));
+    ASSERT_TRUE(SortInputToTape(ctx).ok());
+    EXPECT_EQ(TapeFields(ctx, 1), expected);
 
-  stmodel::StContext seed_ctx(kDeciderTapes);
-  seed_ctx.LoadInput(JoinFields(input));
-  {
-    tape::Tape& in = seed_ctx.tape(0);
-    stmodel::Rewind(in);
-    while (!stmodel::AtEnd(in)) stmodel::CopyField(in, seed_ctx.tape(1));
+    stmodel::StContext direct(kDeciderTapes);
+    direct.LoadInput(JoinFields(input));
+    SortStats stats;
+    ASSERT_TRUE(SortForDecider(direct, 0, 3, 4, &stats).ok());
+    EXPECT_EQ(TapeFields(direct, 0), expected);
+    EXPECT_EQ(stats.num_fields, input.size());
+    EXPECT_EQ(stats.passes, passes);
   }
-  ASSERT_TRUE(SortFieldsOnTapes(seed_ctx, 1, 3, 4).ok());
-  EXPECT_EQ(TapeFields(legacy_ctx, 1), TapeFields(seed_ctx, 1));
+}
 
-  // Parallel path: same sorted output through the k-way sort.
-  SortConfig parallel;
-  parallel.fanout = 4;
-  parallel.threads = 4;
-  parallel.run_length = 8;
-  SetProcessSortConfig(parallel);
-  stmodel::StContext parallel_ctx(kDeciderTapes);
-  parallel_ctx.LoadInput(JoinFields(input));
-  SortStats stats;
+TEST(SortConfigTest, ScopedConfigRestoresThePreviousDefault) {
+  const SortConfig before = DefaultSortConfig();
   {
-    tape::Tape& in = parallel_ctx.tape(0);
-    stmodel::Rewind(in);
-    while (!stmodel::AtEnd(in)) {
-      stmodel::CopyField(in, parallel_ctx.tape(1));
-    }
+    const ScopedProcessSortConfig paper(kPaperSortConfig);
+    EXPECT_EQ(DefaultSortConfig().fanout, 2u);
+    EXPECT_EQ(DefaultSortConfig().run_length, 1u);
   }
-  ASSERT_TRUE(SortForDecider(parallel_ctx, 1, 3, 4, &stats).ok());
-  EXPECT_EQ(TapeFields(parallel_ctx, 1), TapeFields(seed_ctx, 1));
-  EXPECT_EQ(stats.num_fields, input.size());
+  EXPECT_EQ(DefaultSortConfig().fanout, before.fanout);
+  EXPECT_EQ(DefaultSortConfig().run_length, before.run_length);
+  EXPECT_EQ(DefaultSortConfig().threads, before.threads);
+}
 
-  SetProcessSortConfig(saved);
+TEST(SortConfigTest, MergeFanoutFlagBelowTwoKeepsTheDefault) {
+  const std::size_t fallback = DefaultSortConfig().fanout;
+  ASSERT_GE(fallback, 2u);
+  for (const char* flag : {"--merge-fanout=0", "--merge-fanout=1"}) {
+    std::string prog = "prog";
+    std::string arg = flag;
+    char* argv[] = {prog.data(), arg.data(), nullptr};
+    int argc = 2;
+    const SortConfig parsed = ParseSortFlags(&argc, argv);
+    EXPECT_EQ(parsed.fanout, fallback) << flag;
+    EXPECT_EQ(argc, 1) << flag;  // consumed either way
+  }
+  std::string prog = "prog";
+  std::string arg = "--merge-fanout=3";
+  char* argv[] = {prog.data(), arg.data(), nullptr};
+  int argc = 2;
+  EXPECT_EQ(ParseSortFlags(&argc, argv).fanout, 3u);
+}
+
+// The environment fallback is read only while no process config is
+// installed, so each value runs in a freshly started copy of this
+// binary (the "threadsafe" death-test style re-executes it).
+TEST(SortConfigDeathTest, MergeFanoutEnvBelowTwoKeepsTheDefault) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* value : {"0", "1"}) {
+    EXPECT_EXIT(
+        {
+          setenv("RSTLAB_MERGE_FANOUT", value, 1);
+          std::exit(DefaultSortConfig().fanout == SortConfig{}.fanout ? 0
+                                                                      : 1);
+        },
+        ::testing::ExitedWithCode(0), "ignoring RSTLAB_MERGE_FANOUT")
+        << value;
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "query/streaming_xml.h"
 #include "query/workload.h"
 #include "query/xml_events.h"
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "tape/tape.h"
 
@@ -127,24 +128,39 @@ TEST(QueryEngineProperty, MatrixMatchesReferenceBitIdentically) {
 
 TEST(QueryEngineProperty, SymmetricDifferenceSweepStaysCertified) {
   // N sweep: exact symmetric-difference sizes and in-certificate bills
-  // at growing input sizes (the Theorem 11 upper-bound shape).
-  for (const std::size_t n : {4u, 16u, 64u, 256u}) {
-    RelationPairSpec spec;
-    spec.seed = 41 + n;
-    spec.num_tuples = n;
-    spec.value_len = 10;
-    spec.perturbations = n / 4;
-    const RelationPairWorkload workload = MakeRelationPair(spec);
+  // at growing input sizes (the Theorem 11 upper-bound shape), at the
+  // default sort geometry and at one-field runs, where every sort makes
+  // ceil(log_k m) merge passes against the certificate's
+  // floor(log2 k)-scaled charge.
+  sorting::SortConfig eight_way = sorting::kPaperSortConfig;
+  eight_way.fanout = 8;
+  for (const sorting::SortConfig& sort :
+       {sorting::SortConfig{}, sorting::kPaperSortConfig, eight_way}) {
+    for (const std::size_t n : {4u, 16u, 64u, 256u}) {
+      SCOPED_TRACE("fanout " + std::to_string(sort.fanout) + " L " +
+                   std::to_string(sort.run_length) + " tuples " +
+                   std::to_string(n));
+      RelationPairSpec spec;
+      spec.seed = 41 + n;
+      spec.num_tuples = n;
+      spec.value_len = 10;
+      spec.perturbations = n / 4;
+      const RelationPairWorkload workload = MakeRelationPair(spec);
 
-    Result<std::vector<QueryOutcome>> run = RunEngine(
-        workload.stream, {SymmetricDifferenceQuery()}, MemOptions(), 1);
-    ASSERT_TRUE(run.ok());
-    const QueryOutcome& outcome = run.value()[0];
-    // certify=true by default: a bill outside the plan certificate
-    // would have surfaced as RST015 in the status.
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.message();
-    EXPECT_EQ(outcome.result.tuples.size(), workload.symmetric_difference);
-    EXPECT_TRUE(check::WithinLogScanClass(outcome.certificate));
+      SharedScanOptions options;
+      options.config.sort = sort;
+      Result<std::vector<QueryOutcome>> run =
+          RunEngine(workload.stream, {SymmetricDifferenceQuery()},
+                    MemOptions(), 1, options);
+      ASSERT_TRUE(run.ok());
+      const QueryOutcome& outcome = run.value()[0];
+      // certify=true by default: a bill outside the plan certificate
+      // would have surfaced as RST015 in the status.
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.message();
+      EXPECT_EQ(outcome.result.tuples.size(),
+                workload.symmetric_difference);
+      EXPECT_TRUE(check::WithinLogScanClass(outcome.certificate));
+    }
   }
 }
 

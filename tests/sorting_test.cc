@@ -8,22 +8,13 @@
 #include "problems/generators.h"
 #include "problems/reference.h"
 #include "sorting/deciders.h"
-#include "sorting/merge_sort.h"
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "stmodel/tape_io.h"
 #include "util/random.h"
 
 namespace rstlab::sorting {
 namespace {
-
-std::string JoinFields(const std::vector<std::string>& fields) {
-  std::string out;
-  for (const auto& f : fields) {
-    out += f;
-    out += '#';
-  }
-  return out;
-}
 
 std::vector<std::string> TapeFields(stmodel::StContext& ctx,
                                     std::size_t index) {
@@ -32,173 +23,6 @@ std::vector<std::string> TapeFields(stmodel::StContext& ctx,
   std::vector<std::string> fields;
   while (!stmodel::AtEnd(t)) fields.push_back(stmodel::ReadField(t));
   return fields;
-}
-
-// ---------------------------------------------------------------------
-// Merge sort
-// ---------------------------------------------------------------------
-
-class MergeSortTest
-    : public ::testing::TestWithParam<std::vector<std::string>> {};
-
-TEST_P(MergeSortTest, SortsLikeStdSort) {
-  std::vector<std::string> fields = GetParam();
-  stmodel::StContext ctx(3);
-  ctx.LoadInput(JoinFields(fields));
-  SortStats stats;
-  Status status = SortFieldsOnTapes(ctx, 0, 1, 2, &stats);
-  ASSERT_TRUE(status.ok()) << status;
-  std::sort(fields.begin(), fields.end());
-  EXPECT_EQ(TapeFields(ctx, 0), fields);
-  EXPECT_EQ(stats.num_fields, GetParam().size());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, MergeSortTest,
-    ::testing::Values(
-        std::vector<std::string>{},
-        std::vector<std::string>{"1"},
-        std::vector<std::string>{"1", "0"},
-        std::vector<std::string>{"0", "1"},
-        std::vector<std::string>{"10", "01", "11", "00"},
-        std::vector<std::string>{"1", "1", "1"},
-        std::vector<std::string>{"01", "0", "011", "0011", "0"},
-        std::vector<std::string>{"111", "110", "101", "100", "011",
-                                 "010", "001", "000"},
-        std::vector<std::string>{"0101", "0101", "1010", "1010",
-                                 "0101"}));
-
-class MergeSortRandomTest : public ::testing::TestWithParam<std::size_t> {
-};
-
-TEST_P(MergeSortRandomTest, SortsRandomInputs) {
-  Rng rng(GetParam());
-  std::vector<std::string> fields;
-  for (std::size_t i = 0; i < GetParam(); ++i) {
-    fields.push_back(BitString::Random(8, rng).ToString());
-  }
-  stmodel::StContext ctx(3);
-  ctx.LoadInput(JoinFields(fields));
-  SortStats stats;
-  ASSERT_TRUE(SortFieldsOnTapes(ctx, 0, 1, 2, &stats).ok());
-  std::sort(fields.begin(), fields.end());
-  EXPECT_EQ(TapeFields(ctx, 0), fields);
-  // ceil(log2(m)) passes.
-  if (GetParam() > 1) {
-    EXPECT_EQ(stats.passes,
-              static_cast<std::size_t>(std::ceil(
-                  std::log2(static_cast<double>(GetParam())))));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, MergeSortRandomTest,
-                         ::testing::Values(2, 3, 7, 16, 33, 100, 255,
-                                           256, 500));
-
-TEST(MergeSortTest, ReversalsGrowLogarithmically) {
-  // Doubling the field count adds a constant number of reversals.
-  std::vector<std::uint64_t> scans;
-  Rng rng(3);
-  for (std::size_t m : {64u, 128u, 256u, 512u}) {
-    std::vector<std::string> fields;
-    for (std::size_t i = 0; i < m; ++i) {
-      fields.push_back(BitString::Random(16, rng).ToString());
-    }
-    stmodel::StContext ctx(3);
-    ctx.LoadInput(JoinFields(fields));
-    ASSERT_TRUE(SortFieldsOnTapes(ctx, 0, 1, 2).ok());
-    scans.push_back(ctx.Report().scan_bound);
-  }
-  for (std::size_t i = 1; i < scans.size(); ++i) {
-    const std::uint64_t delta = scans[i] - scans[i - 1];
-    EXPECT_GE(delta, 1u);
-    EXPECT_LE(delta, 16u);  // constant per doubling (~6 per extra pass)
-  }
-  // And consecutive deltas are equal: the signature of c*log N growth.
-  EXPECT_EQ(scans[2] - scans[1], scans[1] - scans[0]);
-  EXPECT_EQ(scans[3] - scans[2], scans[2] - scans[1]);
-}
-
-TEST(MergeSortTest, StableOnTies) {
-  // Our WriteField merge prefers reader A on ties; with equal values the
-  // output is simply all of them.
-  stmodel::StContext ctx(3);
-  ctx.LoadInput("1#1#1#1#1#");
-  ASSERT_TRUE(SortFieldsOnTapes(ctx, 0, 1, 2).ok());
-  EXPECT_EQ(TapeFields(ctx, 0),
-            (std::vector<std::string>{"1", "1", "1", "1", "1"}));
-}
-
-TEST(MergeSortTest, RejectsBadTapeArguments) {
-  stmodel::StContext ctx(3);
-  ctx.LoadInput("1#");
-  EXPECT_FALSE(SortFieldsOnTapes(ctx, 0, 0, 1).ok());
-  EXPECT_FALSE(SortFieldsOnTapes(ctx, 0, 1, 5).ok());
-}
-
-
-class KWayMergeSortTest
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(KWayMergeSortTest, SortsCorrectlyForEveryK) {
-  const std::size_t k = GetParam();
-  Rng rng(100 + k);
-  for (std::size_t m : {0u, 1u, 2u, 17u, 64u, 200u}) {
-    std::vector<std::string> fields;
-    for (std::size_t i = 0; i < m; ++i) {
-      fields.push_back(BitString::Random(10, rng).ToString());
-    }
-    stmodel::StContext ctx(1 + k);
-    ctx.LoadInput(JoinFields(fields));
-    std::vector<std::size_t> aux;
-    for (std::size_t i = 1; i <= k; ++i) aux.push_back(i);
-    SortStats stats;
-    ASSERT_TRUE(SortFieldsOnTapesKWay(ctx, 0, aux, &stats).ok());
-    std::sort(fields.begin(), fields.end());
-    EXPECT_EQ(TapeFields(ctx, 0), fields) << "k=" << k << " m=" << m;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ways, KWayMergeSortTest,
-                         ::testing::Values(2, 3, 4, 6));
-
-TEST(KWayMergeSortTest, MoreTapesFewerPasses) {
-  Rng rng(7);
-  std::vector<std::string> fields;
-  for (std::size_t i = 0; i < 256; ++i) {
-    fields.push_back(BitString::Random(10, rng).ToString());
-  }
-  std::vector<std::size_t> passes;
-  std::vector<std::uint64_t> scans;
-  for (std::size_t k : {2u, 4u, 8u}) {
-    stmodel::StContext ctx(1 + k);
-    ctx.LoadInput(JoinFields(fields));
-    std::vector<std::size_t> aux;
-    for (std::size_t i = 1; i <= k; ++i) aux.push_back(i);
-    SortStats stats;
-    ASSERT_TRUE(SortFieldsOnTapesKWay(ctx, 0, aux, &stats).ok());
-    passes.push_back(stats.passes);
-    scans.push_back(ctx.Report().scan_bound);
-  }
-  // ceil(log_k 256): 8, 4, 3.
-  EXPECT_EQ(passes[0], 8u);
-  EXPECT_EQ(passes[1], 4u);
-  EXPECT_EQ(passes[2], 3u);
-  // Passes fall with k, but the model's r sums reversals over ALL
-  // tapes (Definition 1), and each pass rewinds every aux tape — so
-  // the total scan bill is non-monotone in k: k = 4 beats k = 2, while
-  // k = 8 pays more rewinds than its 3 passes save. A measured
-  // trade-off the model's cost definition makes visible.
-  EXPECT_GT(scans[0], scans[1]);
-  EXPECT_LT(scans[1], scans[2]);
-}
-
-TEST(KWayMergeSortTest, RejectsBadArguments) {
-  stmodel::StContext ctx(3);
-  ctx.LoadInput("1#");
-  EXPECT_FALSE(SortFieldsOnTapesKWay(ctx, 0, {1}, nullptr).ok());
-  EXPECT_FALSE(SortFieldsOnTapesKWay(ctx, 0, {0, 1}, nullptr).ok());
-  EXPECT_FALSE(SortFieldsOnTapesKWay(ctx, 0, {1, 9}, nullptr).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -254,6 +78,9 @@ TEST(DeciderTest, EmptyInstanceIsYes) {
 }
 
 TEST(DeciderTest, ScanBoundGrowsLogarithmically) {
+  // The paper geometry, so every quadrupling of m adds merge passes (at
+  // the default one, all four sizes are a single formation run).
+  const ScopedProcessSortConfig paper(kPaperSortConfig);
   Rng rng(5);
   std::vector<double> ns;
   std::vector<double> scans;
@@ -270,6 +97,7 @@ TEST(DeciderTest, ScanBoundGrowsLogarithmically) {
   const double d1 = scans[1] - scans[0];
   const double d2 = scans[2] - scans[1];
   const double d3 = scans[3] - scans[2];
+  EXPECT_GT(d1, 0.0);
   EXPECT_NEAR(d2, d1, 6.0);
   EXPECT_NEAR(d3, d2, 6.0);
   EXPECT_LT(scans.back(), 30 * std::log2(ns.back()));

@@ -294,22 +294,50 @@ TEST(NegativeTest, RST018ReportsWitnessN) {
 // ---------------------------------------------------------------------
 
 TEST(SortSymbolicTest, DominatesConcreteCertificateForEveryM) {
-  for (const std::size_t fanout : {2u, 4u, 16u}) {
-    const SymbolicSortCertificate symbolic =
-        CertifyKWaySortSymbolic(/*max_field_len=*/8, fanout,
-                                /*run_length=*/8);
-    for (const std::size_t m : {0u, 1u, 2u, 17u, 256u, 4096u, 65536u}) {
-      // m fields of <= 8 payload cells occupy at most 9m input cells
-      // (and at least m); any N >= m is a valid size for the instance.
-      const std::size_t n = std::max<std::size_t>(1, 9 * m);
-      const SortCertificate concrete =
-          CertifyKWaySort(m, 8, n, fanout, 8);
-      EXPECT_GE(symbolic.scan_bound.Eval(n), concrete.max_scan_bound)
-          << "m=" << m << " k=" << fanout;
-      EXPECT_GE(symbolic.internal_bits.Eval(n), concrete.max_internal_bits)
-          << "m=" << m << " k=" << fanout;
+  for (const std::size_t fanout : {2u, 3u, 4u, 8u, 16u}) {
+    for (const std::size_t run_length : {1u, 8u}) {
+      const SymbolicSortCertificate symbolic =
+          CertifyKWaySortSymbolic(/*max_field_len=*/8, fanout, run_length);
+      for (const std::size_t m :
+           {0u, 1u, 2u, 17u, 256u, 4096u, 4097u, 65536u}) {
+        // m fields of <= 8 payload cells occupy at most 9m input cells
+        // (and at least m); any N >= m is a valid size for the instance.
+        for (const std::size_t n : {std::max<std::size_t>(1, m), 9 * m}) {
+          if (n == 0) continue;
+          const SortCertificate concrete =
+              CertifyKWaySort(m, 8, n, fanout, run_length);
+          EXPECT_GE(symbolic.scan_bound.Eval(n), concrete.max_scan_bound)
+              << "m=" << m << " N=" << n << " k=" << fanout
+              << " L=" << run_length;
+          EXPECT_GE(symbolic.internal_bits.Eval(n),
+                    concrete.max_internal_bits)
+              << "m=" << m << " N=" << n << " k=" << fanout
+              << " L=" << run_length;
+        }
+      }
     }
   }
+}
+
+TEST(SortSymbolicTest, MergePassChargeCoversEveryRunCount) {
+  // 4k * ceil(log_k R) <= KWayMergePassScans(k, d) at N for every run
+  // count R <= N^d: the floor(log2 k) division is sound at every fanout,
+  // including the non-powers of two, and at R just past a power of k.
+  for (std::uint64_t k = 2; k <= 17; ++k) {
+    for (const unsigned d : {1u, 2u}) {
+      const BoundExpr charge = KWayMergePassScans(k, d);
+      for (std::uint64_t n = 1; n <= (std::uint64_t{1} << 20);
+           n = n * 3 / 2 + 1) {
+        const std::uint64_t runs = d == 1 ? n : n * n;
+        std::uint64_t passes = 0;
+        for (std::uint64_t r = runs; r > 1; r = (r + k - 1) / k) ++passes;
+        EXPECT_GE(charge.Eval(n), 4 * k * passes)
+            << "k=" << k << " d=" << d << " N=" << n;
+      }
+    }
+  }
+  // The coefficient shrinks by floor(log2 k): 32 / 3 -> 11 at k = 8.
+  EXPECT_EQ(KWayMergePassScans(8, 1).Eval(1 << 10), 11u * 10 + 32);
 }
 
 TEST(SortSymbolicTest, GrowthIsLogarithmicInBothResources) {
