@@ -99,7 +99,7 @@ std::string CheckQueryCase(const std::vector<std::string>& fields,
   db["R2"] = query::Relation{"R2", 1, {}};
   for (const std::string& field : fields) {
     const std::size_t comma = field.find(',');
-    db[field.substr(0, comma)].Insert({field.substr(comma + 1)});
+    db[field.substr(0, comma)].tuples.push_back({field.substr(comma + 1)});
   }
   const query::RelAlgExprPtr plan = PlanForDepth(depth);
   Result<query::Relation> reference = query::EvaluateInMemory(plan, db);

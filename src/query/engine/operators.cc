@@ -655,7 +655,7 @@ class ProductOp final : public BinaryOp {
 
   /// Doubles the B-copies between tapes 1 and 2 until there are at
   /// least a_count_ of them; replica_tape_ ends as the tape holding
-  /// them. Identical passes to the TapeEvaluator's EvalProduct.
+  /// them: O(log a_count_) passes, Theorem 11's doubling construction.
   void Replicate() {
     std::size_t copies = 1;
     std::size_t src = 1;

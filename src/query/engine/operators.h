@@ -13,10 +13,10 @@ namespace rstlab::query::engine {
 
 /// The concrete operators. Each factory takes ownership of its children
 /// and returns a single-use operator; `env` pointees must outlive the
-/// pipeline. Semantics mirror the Theorem 11 streaming evaluator
-/// (`EvaluateOnTapes`): duplicates may flow between operators, the
+/// pipeline. Set semantics end to end, as in the reference
+/// `EvaluateInMemory`: duplicates may flow between operators, the
 /// sorting operators collapse them, and the final materialization
-/// de-duplicates — set semantics end to end.
+/// (`Relation::Normalize`) de-duplicates.
 
 /// Leaf: streams one spool lane in lane order. `lane` may be nullptr
 /// (empty relation). Bills 2 reversals per pass (scan + rewind).

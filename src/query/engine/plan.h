@@ -16,7 +16,7 @@ namespace rstlab::query::engine {
 struct PlanOptions {
   /// Rewrite σ_{col=col}(A × B) chains with cross-side conditions into
   /// sort-based merge joins (the engine's join operator). Off = keep
-  /// the doubling-product shape of the reference evaluator.
+  /// the Theorem 11 doubling product followed by selections.
   bool merge_join = true;
 };
 

@@ -62,7 +62,7 @@ QueryOutcome RunOne(const QueryRequest& request, const RelationSpool& spool,
         Tuple tuple = DecodeTuple(field);
         outcome.result.arity =
             std::max(outcome.result.arity, tuple.size());
-        outcome.result.Insert(tuple);
+        outcome.result.tuples.push_back(std::move(tuple));
       }
       if (batch.at_end) break;
     }

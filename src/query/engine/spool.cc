@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "query/xml_events.h"
+#include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
 #include "tape/tape.h"
 
@@ -73,6 +74,15 @@ Result<std::unique_ptr<RelationSpool>> RelationSpool::Build(
   stmodel::Rewind(input);
 
   std::map<std::string, std::string> pending;
+  // The metered state: one field buffer, billed like XmlEventReader's
+  // at 8 bits per character of the longest field plus one.
+  stmodel::InternalArena::Allocation field_bits = ctx.arena().Allocate(8);
+  std::size_t longest = 0;
+  const auto meter_field = [&](const std::string& buffered) {
+    if (buffered.size() <= longest) return;
+    longest = buffered.size();
+    field_bits.Resize(8 * (longest + 1));
+  };
   std::string field;
   std::size_t remaining = ctx.input_size();
   bool saw_blank = false;
@@ -89,6 +99,7 @@ Result<std::unique_ptr<RelationSpool>> RelationSpool::Build(
         field.push_back(c);
         continue;
       }
+      meter_field(field);
       // One complete "name,v1,v2,..." field: split at the first comma.
       const std::size_t comma = field.find(',');
       if (comma != std::string::npos && comma + 1 < field.size()) {
@@ -99,6 +110,7 @@ Result<std::unique_ptr<RelationSpool>> RelationSpool::Build(
       field.clear();
     }
   }
+  meter_field(field);  // an unterminated last field was buffered too
   spool->Flush(pending);
   return spool;
 }
@@ -110,9 +122,9 @@ Result<std::unique_ptr<RelationSpool>> RelationSpool::BuildFromXml(
   stmodel::Rewind(input);
 
   // The child-axis walk of the Section 4 schema, as a state machine
-  // over the tokenizer's events — the same validation as
-  // ExtractSetValues, but demultiplexing into spool lanes instead of
-  // context tapes so many queries can share the one parse.
+  // over the tokenizer's events, demultiplexing into spool lanes so
+  // many queries can share the one parse. The event reader owns the
+  // metered tag/text buffer.
   XmlEventReader reader(input, ctx.arena());
   std::map<std::string, std::string> pending;
   int current_set = 0;

@@ -46,8 +46,9 @@ class RelationSpool {
   };
 
   /// Builds the spool from the tuple stream on tape 0 of `ctx` in one
-  /// forward scan (billed on `ctx` — the shared pass). Lanes are
-  /// created on `ctx.storage_options()`.
+  /// forward scan (billed on `ctx` — the shared pass: one scan, and one
+  /// field buffer of 8 bits per character of the longest field plus
+  /// one). Lanes are created on `ctx.storage_options()`.
   static Result<std::unique_ptr<RelationSpool>> Build(
       stmodel::StContext& ctx);
 
@@ -55,8 +56,10 @@ class RelationSpool {
   /// the child-axis walk instance/set*/item/string, driven by the
   /// streaming `XmlEventReader`, spools the string values below set1
   /// and set2 as two single-column relations named "set1" and "set2" —
-  /// one forward scan, one read per input cell. Fails on documents not
-  /// of the Section 4 shape (same diagnostics as `ExtractSetValues`).
+  /// one forward scan, one read per input cell. Fails with
+  /// InvalidArgument on documents not of the Section 4 shape: text or
+  /// <string> outside set1/set2, a stray </string>, a document that
+  /// ends mid-element, or a tokenizer error.
   static Result<std::unique_ptr<RelationSpool>> BuildFromXml(
       stmodel::StContext& ctx);
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "query/relation.h"
-#include "stmodel/st_context.h"
 #include "util/status.h"
 
 namespace rstlab::query {
@@ -54,10 +53,11 @@ RelAlgExprPtr Project(RelAlgExprPtr a, std::vector<std::size_t> columns);
 RelAlgExprPtr Product(RelAlgExprPtr a, RelAlgExprPtr b);
 
 /// Derived combinator: equi-join of `a` (arity `a_arity`) with `b` on
-/// the column pairs `on` (left column, right column) — compiled to
-/// Product followed by column-equality selections, so it inherits the
-/// streaming evaluator's O(log N)-scan profile. Join conditions address
-/// b's columns pre-offset; the result keeps all columns of both sides.
+/// the column pairs `on` (left column, right column) — built as Product
+/// followed by column-equality selections, which the engine's plan
+/// compiler rewrites into a sort-based merge join
+/// (`engine::PlanOptions::merge_join`). Join conditions address b's
+/// columns pre-offset; the result keeps all columns of both sides.
 RelAlgExprPtr EquiJoin(
     RelAlgExprPtr a, RelAlgExprPtr b, std::size_t a_arity,
     std::vector<std::pair<std::size_t, std::size_t>> on);
@@ -67,34 +67,20 @@ RelAlgExprPtr EquiJoin(
 RelAlgExprPtr SymmetricDifferenceQuery(std::string r1 = "R1",
                                        std::string r2 = "R2");
 
-/// Reference evaluator over in-memory relations.
+/// Reference evaluator over in-memory relations: the oracle the
+/// `query-engine` conform suite holds `engine::ExecuteSharedScan` to.
+/// Input relations may hold repeated tuples; every result is
+/// normalized (sorted, duplicate-free).
 Result<Relation> EvaluateInMemory(
     const RelAlgExprPtr& expr,
     const std::map<std::string, Relation>& database);
 
-/// Number of external tapes the streaming evaluator needs.
-inline constexpr std::size_t kRelAlgTapes = 6;
-
 /// Encodes a database as the input tuple stream of Theorem 11: one
-/// '#'-terminated field "name,v1,v2,..." per tuple.
+/// '#'-terminated field "name,v1,v2,..." per tuple. The streaming
+/// evaluator of Theorem 11(a) is `engine::ExecuteSharedScan` over this
+/// stream.
 std::string EncodeDatabaseStream(
     const std::map<std::string, Relation>& database);
-
-/// The streaming evaluator — the upper-bound side of Theorem 11(a).
-///
-/// Evaluates `expr` over the tuple stream loaded on tape 0 of `ctx`
-/// using only sequential scans and external merge sorts: leaves filter
-/// the stream, set operations sort-and-merge, projections sort to
-/// de-duplicate, and products replicate the inner operand by repeated
-/// doubling (O(log N) scans) before a single pairing pass. The measured
-/// resource profile is r(N) = c_Q * log N scans on a constant number of
-/// tapes, with internal memory O(max tuple bytes + log N) for the sort's
-/// record buffers (see sorting/deciders.h for the Chen-Yap O(1)-space
-/// remark).
-///
-/// Returns the query result (also left as the final stack segment).
-Result<Relation> EvaluateOnTapes(const RelAlgExprPtr& expr,
-                                 stmodel::StContext& ctx);
 
 }  // namespace rstlab::query
 

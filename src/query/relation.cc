@@ -2,19 +2,7 @@
 
 #include <algorithm>
 
-#include "stmodel/tape_io.h"
-
 namespace rstlab::query {
-
-bool Relation::Insert(const Tuple& tuple) {
-  if (Contains(tuple)) return false;
-  tuples.push_back(tuple);
-  return true;
-}
-
-bool Relation::Contains(const Tuple& tuple) const {
-  return std::find(tuples.begin(), tuples.end(), tuple) != tuples.end();
-}
 
 void Relation::Normalize() {
   std::sort(tuples.begin(), tuples.end());
@@ -53,26 +41,6 @@ Tuple DecodeTuple(const std::string& field) {
   }
   tuple.push_back(std::move(current));
   return tuple;
-}
-
-void WriteRelationToTape(const Relation& relation, tape::Tape& t) {
-  for (const Tuple& tuple : relation.tuples) {
-    stmodel::WriteString(t, EncodeTuple(tuple));
-    t.Write(stmodel::kFieldSeparator);
-    t.MoveRight();
-  }
-}
-
-Relation ReadRelationFromTape(tape::Tape& t, std::string name,
-                              std::size_t count) {
-  Relation relation;
-  relation.name = std::move(name);
-  for (std::size_t i = 0; i < count && !stmodel::AtEnd(t); ++i) {
-    Tuple tuple = DecodeTuple(stmodel::ReadField(t));
-    relation.arity = std::max(relation.arity, tuple.size());
-    relation.tuples.push_back(std::move(tuple));
-  }
-  return relation;
 }
 
 }  // namespace rstlab::query

@@ -5,9 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "tape/tape.h"
-#include "util/status.h"
-
 namespace rstlab::query {
 
 /// A database tuple: a fixed-arity vector of attribute values. Values are
@@ -16,16 +13,14 @@ namespace rstlab::query {
 /// work.
 using Tuple = std::vector<std::string>;
 
-/// A relation with set semantics: named, fixed arity, duplicate-free.
+/// A relation with set semantics: named and of fixed arity. Producers
+/// append tuples to `tuples`, which may repeat until `Normalize()` runs;
+/// a normalized relation is sorted and duplicate-free.
 struct Relation {
   std::string name;
   std::size_t arity = 0;
   std::vector<Tuple> tuples;
 
-  /// Inserts a tuple if not already present; returns whether inserted.
-  bool Insert(const Tuple& tuple);
-  /// True iff `tuple` is present.
-  bool Contains(const Tuple& tuple) const;
   /// Sorts tuples lexicographically and removes duplicates (canonical
   /// form; used before comparisons).
   void Normalize();
@@ -37,16 +32,6 @@ struct Relation {
 std::string EncodeTuple(const Tuple& tuple);
 /// Parses a tape field back into a tuple.
 Tuple DecodeTuple(const std::string& field);
-
-/// Writes a relation's tuples onto `t` as consecutive '#'-terminated
-/// fields, in storage order — the "stream consisting of the tuples of
-/// the input database relations" of Theorem 11.
-void WriteRelationToTape(const Relation& relation, tape::Tape& t);
-
-/// Reads `count` tuple fields from `t` (or all until blank when count is
-/// SIZE_MAX) into a relation of the given name.
-Relation ReadRelationFromTape(tape::Tape& t, std::string name,
-                              std::size_t count);
 
 }  // namespace rstlab::query
 

@@ -1,10 +1,7 @@
 #include "query/streaming_xml.h"
 
-#include <optional>
-#include <string>
+#include <algorithm>
 
-#include "query/xml_events.h"
-#include "sorting/parallel_sort.h"
 #include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
 #include "tape/tape.h"
@@ -66,138 +63,6 @@ Status EncodeInstanceAsXmlOnTapes(stmodel::StContext& ctx) {
   if (m == 0) emit("</set1><set2>");
   emit("</set2></instance>");
   return Status::OK();
-}
-
-Status ExtractSetValues(stmodel::StContext& ctx, std::size_t out_first,
-                        std::size_t out_second, std::size_t* count_first,
-                        std::size_t* count_second) {
-  if (ctx.num_tapes() <= std::max(out_first, out_second)) {
-    return Status::InvalidArgument("output tape index out of range");
-  }
-  tape::Tape& in = ctx.tape(0);
-  stmodel::Rewind(in);
-
-  // Streaming tokenizer state: which set we are under (0 = none), and
-  // whether we are inside a <string> element. The event reader owns the
-  // metered tag/text buffer; each input cell is read exactly once.
-  stmodel::InternalArena& arena = ctx.arena();
-  XmlEventReader reader(in, arena);
-  int current_set = 0;
-  bool in_string = false;
-  std::size_t counts[2] = {0, 0};
-
-  for (;;) {
-    Result<XmlEvent> next = reader.Next();
-    if (!next.ok()) return next.status();
-    const XmlEvent& event = next.value();
-    if (event.kind == XmlEventKind::kEndOfInput) break;
-    switch (event.kind) {
-      case XmlEventKind::kStartTag:
-        if (event.content == "set1") {
-          current_set = 1;
-        } else if (event.content == "set2") {
-          current_set = 2;
-        } else if (event.content == "string") {
-          if (current_set == 0) {
-            return Status::InvalidArgument("<string> outside set1/set2");
-          }
-          in_string = true;
-        }
-        // Other tags (instance, item) carry no state.
-        break;
-      case XmlEventKind::kEndTag:
-        if (event.content == "set1" || event.content == "set2") {
-          current_set = 0;
-        } else if (event.content == "string") {
-          if (!in_string) {
-            return Status::InvalidArgument("stray </string>");
-          }
-          tape::Tape& out =
-              ctx.tape(current_set == 1 ? out_first : out_second);
-          out.Write(stmodel::kFieldSeparator);
-          out.MoveRight();
-          ++counts[current_set - 1];
-          in_string = false;
-        }
-        break;
-      case XmlEventKind::kText:
-        if (in_string) {
-          tape::Tape& out =
-              ctx.tape(current_set == 1 ? out_first : out_second);
-          for (const char c : event.content) {
-            out.Write(c);
-            out.MoveRight();
-          }
-        } else {
-          for (const char c : event.content) {
-            if (c != ' ') {
-              return Status::InvalidArgument("text outside <string>");
-            }
-          }
-        }
-        break;
-      case XmlEventKind::kEndOfInput:
-        break;
-    }
-  }
-  if (in_string || current_set != 0) {
-    return Status::InvalidArgument("document ended mid-element");
-  }
-  ctx.tape(out_first).Write(tape::kBlank);
-  ctx.tape(out_second).Write(tape::kBlank);
-  if (count_first != nullptr) *count_first = counts[0];
-  if (count_second != nullptr) *count_second = counts[1];
-  return Status::OK();
-}
-
-Result<bool> FilterPaperXPathOnTapes(stmodel::StContext& ctx) {
-  if (ctx.num_tapes() < kStreamingXmlTapes) {
-    return Status::InvalidArgument("filter needs 5 external tapes");
-  }
-  std::size_t count_x = 0;
-  std::size_t count_y = 0;
-  RSTLAB_RETURN_IF_ERROR(ExtractSetValues(ctx, 1, 2, &count_x, &count_y));
-  const sorting::SortConfig sort = sorting::DefaultSortConfig();
-  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 1, sort));
-  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 2, sort));
-
-  // The query selects a node iff some X value is absent from Y.
-  ctx.tape(1).Seek(0);
-  ctx.tape(2).Seek(0);
-  stmodel::SortedFieldCursor x(ctx.tape(1), count_x, ctx.arena());
-  stmodel::SortedFieldCursor y(ctx.tape(2), count_y, ctx.arena());
-  while (!x.exhausted()) {
-    while (!y.exhausted() && *y.value() < *x.value()) y.Advance();
-    if (y.exhausted() || *y.value() != *x.value()) {
-      return true;  // this x is in X - Y
-    }
-    x.AdvanceDistinct();
-  }
-  return false;
-}
-
-Result<bool> EvaluatePaperXQueryOnTapes(stmodel::StContext& ctx) {
-  if (ctx.num_tapes() < kStreamingXmlTapes) {
-    return Status::InvalidArgument("query needs 5 external tapes");
-  }
-  std::size_t count_x = 0;
-  std::size_t count_y = 0;
-  RSTLAB_RETURN_IF_ERROR(ExtractSetValues(ctx, 1, 2, &count_x, &count_y));
-  const sorting::SortConfig sort = sorting::DefaultSortConfig();
-  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 1, sort));
-  RSTLAB_RETURN_IF_ERROR(sorting::ParallelSortFieldsOnTape(ctx, 2, sort));
-
-  // Set equality of the sorted sequences, duplicates collapsed.
-  ctx.tape(1).Seek(0);
-  ctx.tape(2).Seek(0);
-  stmodel::SortedFieldCursor a(ctx.tape(1), count_x, ctx.arena());
-  stmodel::SortedFieldCursor b(ctx.tape(2), count_y, ctx.arena());
-  while (!a.exhausted() && !b.exhausted()) {
-    if (*a.value() != *b.value()) return false;
-    a.AdvanceDistinct();
-    b.AdvanceDistinct();
-  }
-  return a.exhausted() == b.exhausted();
 }
 
 }  // namespace rstlab::query

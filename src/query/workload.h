@@ -73,8 +73,9 @@ struct XmlWorkloadSpec {
 
 /// One generated XML instance.
 struct XmlWorkload {
-  /// The document text (tape content for EvaluatePaperXQueryOnTapes,
-  /// FilterPaperXPathOnTapes or RelationSpool::BuildFromXml).
+  /// The document text (tape content for
+  /// engine::RelationSpool::BuildFromXml, i.e. a shared scan with
+  /// `SharedScanOptions::xml`).
   std::string document;
   std::size_t set1_count = 0;
   std::size_t set2_count = 0;

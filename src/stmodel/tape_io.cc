@@ -4,13 +4,6 @@
 
 namespace rstlab::stmodel {
 
-void WriteString(tape::Tape& t, const std::string& text) {
-  for (char c : text) {
-    t.Write(c);
-    t.MoveRight();
-  }
-}
-
 void Rewind(tape::Tape& t) { t.Seek(0); }
 
 bool AtEnd(const tape::Tape& t) { return t.Read() == tape::kBlank; }

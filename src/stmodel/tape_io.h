@@ -14,10 +14,6 @@ namespace rstlab::stmodel {
 /// v1#v2#...#vm#v'1#...#v'm#.
 inline constexpr char kFieldSeparator = '#';
 
-/// Writes `text` onto `t` moving right, leaving the head one past the last
-/// written cell.
-void WriteString(tape::Tape& t, const std::string& text);
-
 /// Moves the head back to cell 0 (costs at most one direction change).
 void Rewind(tape::Tape& t);
 

@@ -10,7 +10,7 @@
 #include "fingerprint/fingerprint.h"
 #include "problems/instance.h"
 #include "problems/reference.h"
-#include "query/streaming_xml.h"
+#include "query/engine/spool.h"
 #include "query/xml.h"
 #include "sorting/deciders.h"
 #include "sorting/parallel_sort.h"
@@ -163,15 +163,24 @@ TEST_P(FuzzTest, MergeSortMatchesStdSortOnArbitraryFields) {
   }
 }
 
-TEST_P(FuzzTest, StreamingXmlExtractorNeverCrashes) {
+TEST_P(FuzzTest, BuildFromXmlNeverCrashes) {
   Rng rng(GetParam() + 500);
   for (int trial = 0; trial < Trials(200); ++trial) {
     const std::string text =
         RandomBytes(rng, 96, "01<>/seting12m ");
-    stmodel::StContext ctx(query::kStreamingXmlTapes);
+    stmodel::StContext ctx(1);
     ctx.LoadInput(text);
-    Status status = query::ExtractSetValues(ctx, 1, 2, nullptr, nullptr);
-    (void)status;  // any status is fine; no crash, no hang
+    auto spool = query::engine::RelationSpool::BuildFromXml(ctx);
+    if (!spool.ok()) {
+      // Malformed input surfaces as a named status, never a crash.
+      EXPECT_EQ(spool.status().code(), StatusCode::kInvalidArgument)
+          << spool.status();
+      continue;
+    }
+    // Accepted documents spool only the two Section 4 lanes.
+    for (const std::string& name : spool.value()->names()) {
+      EXPECT_TRUE(name == "set1" || name == "set2") << name;
+    }
   }
 }
 

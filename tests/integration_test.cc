@@ -58,14 +58,20 @@ TEST_P(FullPipelineTest, AllDecidersAgreeOnCheckPhiInstances) {
     std::map<std::string, query::Relation> db;
     db["R1"].name = "R1";
     db["R2"].name = "R2";
-    for (const auto& v : inst.first) db["R1"].Insert({v.ToString()});
-    for (const auto& v : inst.second) db["R2"].Insert({v.ToString()});
-    stmodel::StContext qctx(query::kRelAlgTapes);
+    for (const auto& v : inst.first) {
+      db["R1"].tuples.push_back({v.ToString()});
+    }
+    for (const auto& v : inst.second) {
+      db["R2"].tuples.push_back({v.ToString()});
+    }
+    stmodel::StContext qctx(1);
     qctx.LoadInput(query::EncodeDatabaseStream(db));
-    Result<query::Relation> result =
-        query::EvaluateOnTapes(query::SymmetricDifferenceQuery(), qctx);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().tuples.empty(), yes);
+    Result<std::vector<query::engine::QueryOutcome>> result =
+        query::engine::ExecuteSharedScan(
+            qctx, {{query::SymmetricDifferenceQuery(), "symdiff"}}, {});
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result.value()[0].status.ok()) << result.value()[0].status;
+    EXPECT_EQ(result.value()[0].result.tuples.empty(), yes);
 
     // XML evaluators.
     query::XmlDocument doc = query::EncodeSetInstanceAsXml(inst);

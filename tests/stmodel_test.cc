@@ -115,7 +115,10 @@ TEST(StContextTest, ReportAggregates) {
 
 TEST(TapeIoTest, WriteAndRewind) {
   tape::Tape t;
-  WriteString(t, "0101#");
+  for (const char c : std::string("0101#")) {
+    t.Write(c);
+    t.MoveRight();
+  }
   Rewind(t);
   EXPECT_EQ(t.Read(), '0');
   EXPECT_EQ(t.reversals(), 1u);
