@@ -20,11 +20,11 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
+#include "extmem/storage.h"
 #include "fingerprint/batch.h"
 #include "fingerprint/fingerprint.h"
 #include "fingerprint/prime.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
 #include "parallel/bench_recorder.h"
 #include "parallel/seed_sequence.h"
 #include "parallel/trial_runner.h"
@@ -40,6 +40,7 @@ namespace {
 
 using rstlab::BitString;
 using rstlab::Rng;
+using rstlab::bench::SecondsSince;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 using rstlab::fingerprint::BatchFingerprintEngine;
@@ -50,6 +51,7 @@ using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
 using rstlab::parallel::SeedSequence;
 using rstlab::parallel::TrialRunner;
+using rstlab::simd::SimdLevel;
 
 /// Integer tally of trials attempted / trials fooled, merged by sum.
 struct FoolTally {
@@ -66,13 +68,6 @@ struct FoolTally {
   }
 };
 
-double SecondsSince(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Builds params with an explicitly chosen k (instead of the paper's).
 rstlab::Result<FingerprintParams> ParamsWithK(std::uint64_t k, Rng& rng) {
   FingerprintParams params;
@@ -87,7 +82,8 @@ rstlab::Result<FingerprintParams> ParamsWithK(std::uint64_t k, Rng& rng) {
   return params;
 }
 
-void RunModulusAblation(TrialRunner& runner, BenchRecorder& recorder) {
+void RunModulusAblation(SimdLevel simd, TrialRunner& runner,
+                        BenchRecorder& recorder) {
   Table table("A1: fingerprint false-positive rate vs prime bound k",
               {"m", "n", "k choice", "k", "false_pos_rate", "paper bound"});
   const std::size_t m = 32;
@@ -119,7 +115,7 @@ void RunModulusAblation(TrialRunner& runner, BenchRecorder& recorder) {
             if (!params.ok()) continue;
             batch.PushLane(params.value());
           }
-          const BatchFingerprintEngine engine(batch);
+          const BatchFingerprintEngine engine(batch, simd);
           const BatchTally outcome = engine.Evaluate(inst);
           local.attempted += batch.lanes();
           local.fooled += outcome.accepted_count();
@@ -135,7 +131,7 @@ void RunModulusAblation(TrialRunner& runner, BenchRecorder& recorder) {
   std::cout << "\n";
 }
 
-void RunFixedPrimeAdversary(TrialRunner& runner,
+void RunFixedPrimeAdversary(SimdLevel simd, TrialRunner& runner,
                             BenchRecorder& recorder) {
   Table table("A2: adversarial instance against a FIXED prime p1",
               {"p1 policy", "trials", "false_pos_rate", "note"});
@@ -191,7 +187,7 @@ void RunFixedPrimeAdversary(TrialRunner& runner,
             rstlab::fingerprint::SampleFingerprintParams(inst.m(), n, rng);
         if (random_params.ok()) batch.PushLane(random_params.value());
         const BatchTally outcome =
-            BatchFingerprintEngine(batch).Evaluate(inst);
+            BatchFingerprintEngine(batch, simd).Evaluate(inst);
         local.fooled_fixed += outcome.lane_accepted[0];
         if (batch.lanes() > 1) {
           local.fooled_random += outcome.lane_accepted[1];
@@ -212,7 +208,8 @@ void RunFixedPrimeAdversary(TrialRunner& runner,
                " adversaries (step 2 of Theorem 8(a))\n\n";
 }
 
-void RunFixedXAblation(TrialRunner& runner, BenchRecorder& recorder) {
+void RunFixedXAblation(SimdLevel simd, TrialRunner& runner,
+                       BenchRecorder& recorder) {
   Table table("A3: x randomization ablation",
               {"x policy", "false_pos_rate", "note"});
   const std::size_t m = 16;
@@ -243,7 +240,7 @@ void RunFixedXAblation(TrialRunner& runner, BenchRecorder& recorder) {
         batch.PushLane(with_fixed_x);
         batch.PushLane(params.value());
         const BatchTally outcome =
-            BatchFingerprintEngine(batch).Evaluate(inst);
+            BatchFingerprintEngine(batch, simd).Evaluate(inst);
         local.fooled_fixed_x += outcome.lane_accepted[0];
         local.fooled_random_x += outcome.lane_accepted[1];
       });
@@ -262,7 +259,7 @@ void RunFixedXAblation(TrialRunner& runner, BenchRecorder& recorder) {
   std::cout << "\n";
 }
 
-void RunKWayAblation() {
+void RunKWayAblation(const rstlab::extmem::StorageOptions& storage) {
   Table table("A4: k-way merge sort — tapes vs scans (Definition 1"
               " accounting, run length 1)",
               {"k (fanout)", "passes", "scan bound r", "int.bits"});
@@ -279,7 +276,7 @@ void RunKWayAblation() {
   for (std::size_t k : {2u, 3u, 4u, 6u, 8u, 12u}) {
     rstlab::sorting::SortConfig config = rstlab::sorting::kPaperSortConfig;
     config.fanout = k;
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, storage);
     ctx.LoadInput(input);
     rstlab::sorting::ParallelSortStats stats;
     if (!rstlab::sorting::ParallelSortFieldsOnTape(ctx, 0, config, &stats)
@@ -310,34 +307,12 @@ BENCHMARK(BM_ParamsSampling)->Arg(64)->Arg(1024);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_ablation");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  const std::size_t threads =
-      rstlab::parallel::ParseThreadsFlag(&argc, argv);
-  const rstlab::simd::SimdLevel simd_level =
-      rstlab::simd::ParseSimdFlag(&argc, argv);
-  TrialRunner runner(threads);
-  runner.set_trace(obs.sink());
-  BenchRecorder recorder("bench_ablation", threads);
-  recorder.set_metrics(obs.metrics());
-  std::cout << "trial engine: threads=" << threads
-            << " simd=" << rstlab::simd::SimdLevelName(simd_level)
-            << "\n\n";
-  RunModulusAblation(runner, recorder);
-  RunFixedPrimeAdversary(runner, recorder);
-  RunFixedXAblation(runner, recorder);
-  RunKWayAblation();
-  if (auto written = recorder.Write(); written.ok()) {
-    std::cout << "trial timings -> " << written.value() << "\n\n";
-  } else {
-    std::cerr << "warning: " << written.status() << "\n";
-  }
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_ablation", [](rstlab::bench::Bench& b) {
+        RunModulusAblation(b.run.simd, b.runner, b.recorder);
+        RunFixedPrimeAdversary(b.run.simd, b.runner, b.recorder);
+        RunFixedXAblation(b.run.simd, b.runner, b.recorder);
+        RunKWayAblation(b.run.storage);
+        return 0;
+      });
 }

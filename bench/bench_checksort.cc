@@ -22,8 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
+#include "driver.h"
 #include "obs/ring_sink.h"
 #include "obs/timeline.h"
 #include "parallel/bench_recorder.h"
@@ -38,17 +37,13 @@
 namespace {
 
 using rstlab::Rng;
+using rstlab::bench::SecondsSince;
 using rstlab::core::FitLog2;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+using rstlab::sorting::RunOptions;
 
 std::size_t EnvFields(std::size_t fallback) {
   const char* value = std::getenv("RSTLAB_SORT_BENCH_FIELDS");
@@ -96,7 +91,8 @@ std::uint64_t ContentChecksum(rstlab::stmodel::StContext& ctx,
 /// baseline; the k=16 rows must agree with each other in scans,
 /// int.bits and output checksum at every thread count — only the wall
 /// time may move.
-void RunParallelSortTable(BenchRecorder& recorder) {
+void RunParallelSortTable(const rstlab::extmem::StorageOptions& storage,
+                          BenchRecorder& recorder) {
   const std::size_t m = EnvFields(1u << 17);
   const std::size_t n = 16;
   Table table("E3d: parallel k-way sort, m=" + std::to_string(m) +
@@ -108,7 +104,7 @@ void RunParallelSortTable(BenchRecorder& recorder) {
 
   double paper_wall = 0.0;
   {
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, storage);
     ctx.LoadInput(input);
     const auto start = std::chrono::steady_clock::now();
     if (rstlab::Status s = rstlab::sorting::ParallelSortFieldsOnTape(
@@ -117,7 +113,7 @@ void RunParallelSortTable(BenchRecorder& recorder) {
       std::cerr << "E3d paper-geometry sort: " << s << "\n";
       return;
     }
-    paper_wall = Seconds(start);
+    paper_wall = SecondsSince(start);
     const auto report = ctx.Report();
     const std::uint64_t checksum = ContentChecksum(ctx, 0);
     table.AddRow({"paper geometry k=2 L=1", "1", FormatDouble(paper_wall),
@@ -138,7 +134,7 @@ void RunParallelSortTable(BenchRecorder& recorder) {
     config.fanout = 16;
     config.threads = threads;
     config.run_length = 4096;
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, storage);
     ctx.LoadInput(input);
     const auto start = std::chrono::steady_clock::now();
     if (rstlab::Status s =
@@ -147,7 +143,7 @@ void RunParallelSortTable(BenchRecorder& recorder) {
       std::cerr << "E3d parallel sort: " << s << "\n";
       return;
     }
-    const double wall = Seconds(start);
+    const double wall = SecondsSince(start);
     const auto report = ctx.Report();
     const std::uint64_t checksum = ContentChecksum(ctx, 0);
     if (threads == 1) {
@@ -180,7 +176,8 @@ void RunParallelSortTable(BenchRecorder& recorder) {
 /// E3e: the loser-tree k-way merge at one thread across fanouts at
 /// fixed m and run length — the single-thread algorithmic trade-off,
 /// isolated from thread scaling.
-void RunLoserTreeTable(BenchRecorder& recorder) {
+void RunLoserTreeTable(const rstlab::extmem::StorageOptions& storage,
+                       BenchRecorder& recorder) {
   const std::size_t m = 1u << 15;
   const std::size_t n = 16;
   Table table("E3e: 1-thread merge engine, m=" + std::to_string(m),
@@ -192,7 +189,7 @@ void RunLoserTreeTable(BenchRecorder& recorder) {
     config.fanout = fanout;
     config.threads = 1;
     config.run_length = 1024;
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, storage);
     ctx.LoadInput(input);
     rstlab::sorting::ParallelSortStats stats;
     const auto start = std::chrono::steady_clock::now();
@@ -202,7 +199,7 @@ void RunLoserTreeTable(BenchRecorder& recorder) {
       std::cerr << "E3e parallel sort: " << s << "\n";
       return;
     }
-    const double wall = Seconds(start);
+    const double wall = SecondsSince(start);
     table.AddRow({"loser tree", std::to_string(fanout), FormatDouble(wall),
                   std::to_string(ctx.Report().scan_bound),
                   std::to_string(stats.merge_passes)});
@@ -219,13 +216,11 @@ void RunLoserTreeTable(BenchRecorder& recorder) {
                "each pass at log2(k) compares per field)\n\n";
 }
 
-void RunScalingTable(rstlab::problems::Problem problem,
-                     const char* title) {
+void RunScalingTable(const rstlab::extmem::StorageOptions& storage,
+                     rstlab::problems::Problem problem, const char* title) {
   // The paper geometry (binary merges of one-field runs): at the
   // default one, every size here is a single formation run and the fit
   // would see no merge pass.
-  const rstlab::sorting::ScopedProcessSortConfig paper(
-      rstlab::sorting::kPaperSortConfig);
   Table table(title, {"m", "N", "scans", "int.bits", "correct"});
   Rng rng(0xC0FFEE);
   std::vector<double> ns;
@@ -236,9 +231,10 @@ void RunScalingTable(rstlab::problems::Problem problem,
         problem == rstlab::problems::Problem::kCheckSort
             ? rstlab::problems::SortedPair(m, n, rng)
             : rstlab::problems::EqualMultisets(m, n, rng);
-    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes, storage);
     ctx.LoadInput(inst.Encode());
-    auto decided = rstlab::sorting::DecideOnTapes(problem, ctx);
+    auto decided = rstlab::sorting::DecideOnTapes(
+        problem, ctx, rstlab::sorting::kPaperSortConfig);
     const bool correct =
         decided.ok() &&
         decided.value() == rstlab::problems::RefDecide(problem, inst);
@@ -261,18 +257,20 @@ void RunScalingTable(rstlab::problems::Problem problem,
 // With --trace (or --metrics) active, runs one small CHECK-SORT decide
 // with tape-level tracing: the merge-sort passes show up as alternating
 // scan segments across the five decider tapes.
-void RunTracedExemplar(rstlab::obs::ObsSession& obs) {
+void RunTracedExemplar(const RunOptions& run,
+                       rstlab::obs::ObsSession& obs) {
   if (obs.sink() == nullptr) return;
   Rng rng(42);
   rstlab::problems::Instance inst =
       rstlab::problems::SortedPair(8, 8, rng);
   rstlab::obs::RingSink ring;
   rstlab::obs::TeeSink tee(obs.sink(), &ring);
-  rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+  rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                 run.storage);
   ctx.AttachTrace(&tee);
   ctx.LoadInput(inst.Encode());
   auto decided = rstlab::sorting::DecideOnTapes(
-      rstlab::problems::Problem::kCheckSort, ctx);
+      rstlab::problems::Problem::kCheckSort, ctx, run.sort);
   ctx.FlushTrace();
   std::cout << "traced exemplar (CHECK-SORT decide, m=8 n=8, "
             << (decided.ok() && decided.value() ? "yes" : "no")
@@ -280,55 +278,48 @@ void RunTracedExemplar(rstlab::obs::ObsSession& obs) {
             << rstlab::obs::RenderScanTimeline(ring.Snapshot()) << "\n";
 }
 
-void BM_Decider(benchmark::State& state) {
+void BM_Decider(benchmark::State& state, const RunOptions& run) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   rstlab::problems::Instance inst =
       rstlab::problems::EqualMultisets(m, 16, rng);
   const std::string encoded = inst.Encode();
   for (auto _ : state) {
-    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                   run.storage);
     ctx.LoadInput(encoded);
     auto decided = rstlab::sorting::DecideOnTapes(
-        rstlab::problems::Problem::kMultisetEquality, ctx);
+        rstlab::problems::Problem::kMultisetEquality, ctx, run.sort);
     benchmark::DoNotOptimize(decided);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(
       encoded.size() * static_cast<std::size_t>(state.iterations())));
 }
-BENCHMARK(BM_Decider)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_checksort");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  rstlab::sorting::SetProcessSortConfig(
-      rstlab::sorting::ParseSortFlags(&argc, argv));
-  BenchRecorder recorder("bench_checksort", /*threads=*/8);
-  recorder.set_metrics(obs.metrics());
-  RunScalingTable(rstlab::problems::Problem::kCheckSort,
-                  "E3a: CHECK-SORT in ST(O(log N), O(n + log N), 5) "
-                  "(k=2, L=1)");
-  RunScalingTable(
-      rstlab::problems::Problem::kMultisetEquality,
-      "E3b: MULTISET-EQUALITY in ST(O(log N), O(n + log N), 5) "
-      "(k=2, L=1)");
-  RunScalingTable(rstlab::problems::Problem::kSetEquality,
-                  "E3c: SET-EQUALITY in ST(O(log N), O(n + log N), 5) "
-                  "(k=2, L=1)");
-  RunParallelSortTable(recorder);
-  RunLoserTreeTable(recorder);
-  RunTracedExemplar(obs);
-  obs.Finish(std::cout);
-  if (auto written = recorder.Write(); !written.ok()) {
-    std::cerr << "bench_checksort: " << written.status() << "\n";
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_checksort",
+      [](rstlab::bench::Bench& b) {
+        using rstlab::problems::Problem;
+        const rstlab::extmem::StorageOptions& storage = b.run.storage;
+        RunScalingTable(storage, Problem::kCheckSort,
+                        "E3a: CHECK-SORT in ST(O(log N), O(n + log N), 5) "
+                        "(k=2, L=1)");
+        RunScalingTable(
+            storage, Problem::kMultisetEquality,
+            "E3b: MULTISET-EQUALITY in ST(O(log N), O(n + log N), 5) "
+            "(k=2, L=1)");
+        RunScalingTable(storage, Problem::kSetEquality,
+                        "E3c: SET-EQUALITY in ST(O(log N), O(n + log N), 5) "
+                        "(k=2, L=1)");
+        RunParallelSortTable(storage, b.recorder);
+        RunLoserTreeTable(storage, b.recorder);
+        RunTracedExemplar(b.run, b.obs);
+        benchmark::RegisterBenchmark("BM_Decider", BM_Decider, b.run)
+            ->Arg(64)->Arg(256)->Arg(1024);
+        return 0;
+      },
+      /*recorder_threads=*/8);
 }

@@ -14,9 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "fingerprint/prime.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
 #include "problems/disjoint_sets.h"
 #include "sorting/deciders.h"
 #include "sorting/sort_config.h"
@@ -30,11 +29,9 @@ using rstlab::core::FitLog2;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 
-void RunDeciderTable() {
+void RunDeciderTable(const rstlab::sorting::RunOptions& run) {
   // The paper geometry (binary merges of one-field runs): at the
   // default one, every size here is a single formation run.
-  const rstlab::sorting::ScopedProcessSortConfig paper(
-      rstlab::sorting::kPaperSortConfig);
   Table table("E17a: DISJOINT-SETS deterministic decider (k=2, L=1)",
               {"m", "N", "scans", "int.bits", "correct"});
   Rng rng(1717);
@@ -44,9 +41,11 @@ void RunDeciderTable() {
     const std::size_t n = 16;
     rstlab::problems::Instance inst =
         rstlab::problems::DisjointSets(m, n, rng);
-    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                   run.storage);
     ctx.LoadInput(inst.Encode());
-    auto decided = rstlab::sorting::DecideDisjointOnTapes(ctx);
+    auto decided = rstlab::sorting::DecideDisjointOnTapes(
+        ctx, rstlab::sorting::kPaperSortConfig);
     const bool correct = decided.ok() && decided.value();
     table.AddRow({std::to_string(m), std::to_string(inst.N()),
                   std::to_string(ctx.Report().scan_bound),
@@ -103,34 +102,33 @@ void RunResidueGuessTable() {
          " sublinear-memory one-sided tester falls out of the recipe.\n\n";
 }
 
-void BM_DisjointDecider(benchmark::State& state) {
+void BM_DisjointDecider(benchmark::State& state,
+                        const rstlab::sorting::RunOptions& run) {
   Rng rng(2);
   rstlab::problems::Instance inst = rstlab::problems::DisjointSets(
       static_cast<std::size_t>(state.range(0)), 16, rng);
   const std::string encoded = inst.Encode();
   for (auto _ : state) {
-    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                   run.storage);
     ctx.LoadInput(encoded);
-    benchmark::DoNotOptimize(rstlab::sorting::DecideDisjointOnTapes(ctx));
+    benchmark::DoNotOptimize(
+        rstlab::sorting::DecideDisjointOnTapes(ctx, run.sort));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(
       encoded.size() * static_cast<std::size_t>(state.iterations())));
 }
-BENCHMARK(BM_DisjointDecider)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_disjoint");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  RunDeciderTable();
-  RunResidueGuessTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_disjoint", [](rstlab::bench::Bench& b) {
+        RunDeciderTable(b.run);
+        RunResidueGuessTable();
+        benchmark::RegisterBenchmark("BM_DisjointDecider",
+                                     BM_DisjointDecider, b.run)
+            ->Arg(64)->Arg(256)->Arg(1024);
+        return 0;
+      });
 }

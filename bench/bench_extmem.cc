@@ -19,8 +19,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "extmem/storage.h"
-#include "obs/flags.h"
 #include "parallel/bench_recorder.h"
 #include "problems/generators.h"
 #include "problems/instance.h"
@@ -33,16 +33,11 @@
 namespace {
 
 using rstlab::Rng;
+using rstlab::bench::SecondsSince;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 rstlab::extmem::StorageOptions FileBackend(std::size_t block_size,
                                            std::size_t cache_blocks) {
@@ -80,11 +75,11 @@ void RunAppendTable(BenchRecorder& recorder) {
         tape.MoveRight();
       }
       per_backend[which] =
-          Seconds(start) * 1e9 / static_cast<double>(n);
+          SecondsSince(start) * 1e9 / static_cast<double>(n);
       recorder.Record(std::string("E18a_append_") +
                           tape.storage().backend_name() + "_" +
                           std::to_string(n),
-                      /*trials=*/n, Seconds(start),
+                      /*trials=*/n, SecondsSince(start),
                       Checksum64({tape.cells_used(), tape.reversals()}));
     }
     table.AddRow({std::to_string(n), FormatDouble(per_backend[0]),
@@ -102,8 +97,6 @@ void RunAppendTable(BenchRecorder& recorder) {
 /// merge passes through the block cache (at the default geometry these
 /// sizes are one formation run each and no merge pass).
 void RunOutOfCoreTable(BenchRecorder& recorder) {
-  const rstlab::sorting::ScopedProcessSortConfig paper(
-      rstlab::sorting::kPaperSortConfig);
   Table table(
       "E18b: CHECK-SORT out-of-core (per-tape cache 4 x 64 cells, k=2, "
       "L=1)",
@@ -124,8 +117,9 @@ void RunOutOfCoreTable(BenchRecorder& recorder) {
       ctx.LoadInput(encoded);
       const auto start = std::chrono::steady_clock::now();
       auto decided = rstlab::sorting::DecideOnTapes(
-          rstlab::problems::Problem::kCheckSort, ctx);
-      const double wall = Seconds(start);
+          rstlab::problems::Problem::kCheckSort, ctx,
+          rstlab::sorting::kPaperSortConfig);
+      const double wall = SecondsSince(start);
       const auto report = ctx.Report();
       const auto io = ctx.IoStatsTotal();
       const char* backend =
@@ -192,21 +186,14 @@ BENCHMARK(BM_FirstScanAppendFile)->Arg(1 << 14)->Arg(1 << 17);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_extmem");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  BenchRecorder recorder("bench_extmem", /*threads=*/1);
-  recorder.set_metrics(obs.metrics());
-  RunAppendTable(recorder);
-  RunOutOfCoreTable(recorder);
-  obs.Finish(std::cout);
-  if (auto written = recorder.Write(); !written.ok()) {
-    std::cerr << "bench_extmem: " << written.status() << "\n";
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  // Both tables choose each row's backend themselves: they compare the
+  // two.
+  return rstlab::bench::Main(
+      argc, argv, "bench_extmem",
+      [](rstlab::bench::Bench& b) {
+        RunAppendTable(b.recorder);
+        RunOutOfCoreTable(b.recorder);
+        return 0;
+      },
+      /*recorder_threads=*/1);
 }

@@ -20,10 +20,9 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "fingerprint/batch.h"
 #include "fingerprint/fingerprint.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
 #include "obs/ring_sink.h"
 #include "obs/timeline.h"
 #include "parallel/bench_recorder.h"
@@ -39,21 +38,17 @@
 namespace {
 
 using rstlab::Rng;
+using rstlab::bench::SecondsSince;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
 using rstlab::parallel::SeedSequence;
 using rstlab::parallel::TrialRunner;
+using rstlab::sorting::RunOptions;
 
-double SecondsSince(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-void RunErrorTable(TrialRunner& runner, BenchRecorder& recorder) {
+void RunErrorTable(const RunOptions& run, TrialRunner& runner,
+                   BenchRecorder& recorder) {
   Table table("E1: Theorem 8(a) fingerprint tester, one-sided error",
               {"m", "n", "N", "scans", "int.bits", "falseneg",
                "falsepos", "falsepos(x8)", "paper"});
@@ -90,7 +85,7 @@ void RunErrorTable(TrialRunner& runner, BenchRecorder& recorder) {
           rstlab::problems::Instance inst =
               equal ? rstlab::problems::EqualMultisets(m, n, rng)
                     : rstlab::problems::PerturbedMultisets(m, n, 1, rng);
-          rstlab::stmodel::StContext ctx(1);
+          rstlab::stmodel::StContext ctx(1, run.storage);
           ctx.LoadInput(inst.Encode());
           auto outcome =
               rstlab::fingerprint::TestMultisetEqualityOnTapes(ctx, rng);
@@ -98,7 +93,7 @@ void RunErrorTable(TrialRunner& runner, BenchRecorder& recorder) {
           // 8-lane amplified batch on the same instance: one pass over
           // the values evaluates 8 independent parameter choices.
           auto amplified = rstlab::fingerprint::TestMultisetEqualityAmplified(
-              inst, 8, rng);
+              inst, 8, rng, run.simd);
           if (equal) {
             ++local.equal_trials;
             if (!outcome.value().accepted) ++local.false_neg;
@@ -153,7 +148,8 @@ void RunErrorTable(TrialRunner& runner, BenchRecorder& recorder) {
   table.Print(std::cout);
 }
 
-void RunClaim1Table(TrialRunner& runner, BenchRecorder& recorder) {
+void RunClaim1Table(const RunOptions& run, TrialRunner& runner,
+                    BenchRecorder& recorder) {
   Table table("E2: Claim 1 collision probability of the prime residue map",
               {"m", "n", "collision_rate", "bound O(1/m)"});
   Rng rng(77);
@@ -168,7 +164,7 @@ void RunClaim1Table(TrialRunner& runner, BenchRecorder& recorder) {
     // at any --threads and --simd setting.
     const rstlab::fingerprint::Claim1Estimate estimate =
         rstlab::fingerprint::EstimateClaim1CollisionRateBatched(
-            inst, trials, /*seed=*/77 * m, runner, /*lanes=*/8);
+            inst, trials, /*seed=*/77 * m, runner, /*lanes=*/8, run.simd);
     const double wall = SecondsSince(start);
     recorder.Record("E2.m=" + std::to_string(m), trials, wall,
                     Checksum64({estimate.trials, estimate.collisions}));
@@ -297,14 +293,15 @@ void RunRooflineTable(BenchRecorder& recorder) {
 // fingerprint test with tape-level tracing attached: the events land in
 // the trace file and the scan timeline — the head-position envelope of
 // the two Theorem 8(a) scans — is printed for eyeballing.
-void RunTracedExemplar(rstlab::obs::ObsSession& obs) {
+void RunTracedExemplar(const RunOptions& run,
+                       rstlab::obs::ObsSession& obs) {
   if (obs.sink() == nullptr) return;
   Rng rng(42);
   rstlab::problems::Instance inst =
       rstlab::problems::EqualMultisets(8, 16, rng);
   rstlab::obs::RingSink ring;
   rstlab::obs::TeeSink tee(obs.sink(), &ring);
-  rstlab::stmodel::StContext ctx(1);
+  rstlab::stmodel::StContext ctx(1, run.storage);
   ctx.AttachTrace(&tee);
   ctx.LoadInput(inst.Encode());
   auto outcome = rstlab::fingerprint::TestMultisetEqualityOnTapes(ctx, rng);
@@ -316,14 +313,14 @@ void RunTracedExemplar(rstlab::obs::ObsSession& obs) {
             << rstlab::obs::RenderScanTimeline(ring.Snapshot()) << "\n";
 }
 
-void BM_FingerprintTape(benchmark::State& state) {
+void BM_FingerprintTape(benchmark::State& state, const RunOptions& run) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   rstlab::problems::Instance inst =
       rstlab::problems::EqualMultisets(m, 32, rng);
   const std::string encoded = inst.Encode();
   for (auto _ : state) {
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, run.storage);
     ctx.LoadInput(encoded);
     auto outcome =
         rstlab::fingerprint::TestMultisetEqualityOnTapes(ctx, rng);
@@ -332,7 +329,6 @@ void BM_FingerprintTape(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(
       encoded.size() * static_cast<std::size_t>(state.iterations())));
 }
-BENCHMARK(BM_FingerprintTape)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_FingerprintHost(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
@@ -349,35 +345,16 @@ BENCHMARK(BM_FingerprintHost)->Arg(64)->Arg(256)->Arg(1024);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_fingerprint");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  const std::size_t threads =
-      rstlab::parallel::ParseThreadsFlag(&argc, argv);
-  const rstlab::simd::SimdLevel simd_level =
-      rstlab::simd::ParseSimdFlag(&argc, argv);
-  TrialRunner runner(threads);
-  runner.set_trace(obs.sink());
-  BenchRecorder recorder("bench_fingerprint", threads);
-  recorder.set_metrics(obs.metrics());
-  std::cout << "trial engine: threads=" << threads
-            << " simd=" << rstlab::simd::SimdLevelName(simd_level)
-            << "\n\n";
-  RunErrorTable(runner, recorder);
-  RunClaim1Table(runner, recorder);
-  RunRooflineTable(recorder);
-  RunExactProbabilityTable(runner, recorder);
-  RunTracedExemplar(obs);
-  if (auto written = recorder.Write(); written.ok()) {
-    std::cout << "trial timings -> " << written.value() << "\n\n";
-  } else {
-    std::cerr << "warning: " << written.status() << "\n";
-  }
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_fingerprint", [](rstlab::bench::Bench& b) {
+        RunErrorTable(b.run, b.runner, b.recorder);
+        RunClaim1Table(b.run, b.runner, b.recorder);
+        RunRooflineTable(b.recorder);
+        RunExactProbabilityTable(b.runner, b.recorder);
+        RunTracedExemplar(b.run, b.obs);
+        benchmark::RegisterBenchmark("BM_FingerprintTape",
+                                     BM_FingerprintTape, b.run)
+            ->Arg(64)->Arg(256)->Arg(1024);
+        return 0;
+      });
 }

@@ -15,10 +15,10 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "listmachine/analysis.h"
 #include "listmachine/machines.h"
 #include "listmachine/skeleton.h"
-#include "obs/flags.h"
 #include "parallel/bench_recorder.h"
 #include "parallel/seed_sequence.h"
 #include "parallel/trial_runner.h"
@@ -27,19 +27,13 @@
 namespace {
 
 using rstlab::Rng;
+using rstlab::bench::SecondsSince;
 using rstlab::core::Table;
 using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
 using rstlab::parallel::SeedSequence;
 using rstlab::parallel::TrialRunner;
 using namespace rstlab::listmachine;
-
-double SecondsSince(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 void RunFoolingTable(TrialRunner& runner, BenchRecorder& recorder) {
   Table table("E8: Lemma 34 fooling-pair construction",
@@ -199,24 +193,10 @@ BENCHMARK(BM_Composition)->Arg(4)->Arg(8)->Arg(16);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_fooling");
-  const std::size_t threads =
-      rstlab::parallel::ParseThreadsFlag(&argc, argv);
-  TrialRunner runner(threads);
-  runner.set_trace(obs.sink());
-  BenchRecorder recorder("bench_fooling", threads);
-  recorder.set_metrics(obs.metrics());
-  std::cout << "trial engine: threads=" << threads << "\n\n";
-  RunFoolingTable(runner, recorder);
-  RunRegimeTable();
-  if (auto written = recorder.Write(); written.ok()) {
-    std::cout << "trial timings -> " << written.value() << "\n\n";
-  } else {
-    std::cerr << "warning: " << written.status() << "\n";
-  }
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_fooling", [](rstlab::bench::Bench& b) {
+        RunFoolingTable(b.runner, b.recorder);
+        RunRegimeTable();
+        return 0;
+      });
 }

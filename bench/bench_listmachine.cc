@@ -15,10 +15,10 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "listmachine/analysis.h"
 #include "listmachine/machines.h"
 #include "listmachine/skeleton.h"
-#include "obs/flags.h"
 #include "util/random.h"
 
 namespace {
@@ -127,12 +127,10 @@ BENCHMARK(BM_SkeletonBuild);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_listmachine");
-  RunGrowthTable();
-  RunSkeletonCountTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_listmachine", [](rstlab::bench::Bench&) {
+        RunGrowthTable();
+        RunSkeletonCountTable();
+        return 0;
+      });
 }

@@ -13,9 +13,9 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "listmachine/analysis.h"
 #include "listmachine/machines.h"
-#include "obs/flags.h"
 #include "permutation/phi.h"
 
 namespace {
@@ -111,11 +111,9 @@ BENCHMARK(BM_ComparedPairs)->Arg(8)->Arg(16)->Arg(32);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_merge_lemma");
-  RunMergeLemmaTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_merge_lemma", [](rstlab::bench::Bench&) {
+        RunMergeLemmaTable();
+        return 0;
+      });
 }

@@ -15,10 +15,9 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "nst/certificate.h"
 #include "nst/paper_verifier.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
 #include "permutation/sortedness.h"
 #include "problems/generators.h"
 #include "problems/reference.h"
@@ -31,7 +30,7 @@ using rstlab::Rng;
 using rstlab::core::Table;
 using rstlab::problems::Problem;
 
-void RunVerifierTable() {
+void RunVerifierTable(const rstlab::extmem::StorageOptions& storage) {
   Table table("E4: Theorem 8(b) paper verifier (3-tape layout)",
               {"problem", "m", "n", "copies", "|u|", "scans", "int.bits",
                "ext.cells", "verdict"});
@@ -47,7 +46,7 @@ void RunVerifierTable() {
               : rstlab::problems::EqualMultisets(m, n, rng);
       auto cert = rstlab::nst::FindHonestCertificate(problem, inst);
       if (!cert.has_value()) continue;
-      rstlab::stmodel::StContext ctx(3);
+      rstlab::stmodel::StContext ctx(3, storage);
       ctx.LoadInput(inst.Encode());
       auto run =
           rstlab::nst::RunPaperVerifier(problem, inst, *cert, ctx);
@@ -107,7 +106,8 @@ void RunSoundnessTable() {
   std::cout << "\n";
 }
 
-void BM_PaperVerifier(benchmark::State& state) {
+void BM_PaperVerifier(benchmark::State& state,
+                      const rstlab::extmem::StorageOptions& storage) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
   rstlab::problems::Instance inst =
@@ -115,14 +115,13 @@ void BM_PaperVerifier(benchmark::State& state) {
   auto cert = rstlab::nst::FindHonestCertificate(
       Problem::kMultisetEquality, inst);
   for (auto _ : state) {
-    rstlab::stmodel::StContext ctx(3);
+    rstlab::stmodel::StContext ctx(3, storage);
     ctx.LoadInput(inst.Encode());
     auto run = rstlab::nst::RunPaperVerifier(Problem::kMultisetEquality,
                                              inst, *cert, ctx);
     benchmark::DoNotOptimize(run);
   }
 }
-BENCHMARK(BM_PaperVerifier)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ExhaustiveCertificates(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
@@ -140,16 +139,13 @@ BENCHMARK(BM_ExhaustiveCertificates)->Arg(4)->Arg(6)->Arg(7);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_nst");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  RunVerifierTable();
-  RunSoundnessTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_nst", [](rstlab::bench::Bench& b) {
+        RunVerifierTable(b.run.storage);
+        RunSoundnessTable();
+        benchmark::RegisterBenchmark("BM_PaperVerifier", BM_PaperVerifier,
+                                     b.run.storage)
+            ->Arg(2)->Arg(4)->Arg(8);
+        return 0;
+      });
 }

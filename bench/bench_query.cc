@@ -16,7 +16,6 @@
 //    the full-size run.
 
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,8 +24,8 @@
 
 #include "check/query_certificate.h"
 #include "core/experiment.h"
+#include "driver.h"
 #include "extmem/storage.h"
-#include "obs/flags.h"
 #include "parallel/bench_recorder.h"
 #include "query/engine/shared_scan.h"
 #include "query/relalg.h"
@@ -35,17 +34,13 @@
 
 namespace {
 
+using rstlab::bench::SecondsSince;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
+using rstlab::sorting::RunOptions;
 using namespace rstlab::query;
-
-double Seconds(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 engine::QueryOutcome RunSymdiff(rstlab::stmodel::StContext& ctx,
                                 const engine::SharedScanOptions& options,
@@ -65,7 +60,7 @@ engine::QueryOutcome RunSymdiff(rstlab::stmodel::StContext& ctx,
 
 /// E21a: N sweep of the symmetric-difference plan, measured bill vs the
 /// certificate evaluated at that N.
-void RunSweepTable(BenchRecorder& recorder) {
+void RunSweepTable(const RunOptions& run, BenchRecorder& recorder) {
   Table table("E21a: symdiff plan, measured (r, s) vs certificate at N",
               {"tuples", "N", "ms", "r", "cert r(N)", "s", "cert s(N)",
                "|R1^R2|"});
@@ -77,14 +72,15 @@ void RunSweepTable(BenchRecorder& recorder) {
     spec.perturbations = tuples / 8;
     const RelationPairWorkload workload = MakeRelationPair(spec);
 
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, run.storage);
     ctx.LoadInput(workload.stream);
     const std::size_t n = ctx.input_size();
     engine::SharedScanOptions options;
+    options.config.sort = run.sort;
     options.admit = true;  // full admission gate + RST015 post-check
     const auto start = std::chrono::steady_clock::now();
     const engine::QueryOutcome outcome = RunSymdiff(ctx, options, false);
-    const double wall = Seconds(start);
+    const double wall = SecondsSince(start);
     if (!outcome.status.ok()) {
       std::cout << "  ERROR at tuples=" << tuples << ": "
                 << outcome.status << "\n";
@@ -194,7 +190,7 @@ void RunOutOfCoreTable(BenchRecorder& recorder, bool small) {
   const std::size_t n = ctx.input_size();
   const auto start = std::chrono::steady_clock::now();
   const engine::QueryOutcome outcome = RunSymdiff(ctx, options, true);
-  const double wall = Seconds(start);
+  const double wall = SecondsSince(start);
 
   Table table("E21c: XML symdiff out-of-core (file backend, cache 256 KiB)",
               {"N", "secs", "r", "cert r(N)", "s", "cert s(N)",
@@ -226,7 +222,7 @@ void RunOutOfCoreTable(BenchRecorder& recorder, bool small) {
                   outcome.result.tuples.size()}));
 }
 
-void BM_SymdiffSharedScan(benchmark::State& state) {
+void BM_SymdiffSharedScan(benchmark::State& state, const RunOptions& run) {
   const std::size_t tuples = static_cast<std::size_t>(state.range(0));
   RelationPairSpec spec;
   spec.seed = 1;
@@ -235,45 +231,32 @@ void BM_SymdiffSharedScan(benchmark::State& state) {
   spec.perturbations = tuples / 8;
   const RelationPairWorkload workload = MakeRelationPair(spec);
   for (auto _ : state) {
-    rstlab::stmodel::StContext ctx(1);
+    rstlab::stmodel::StContext ctx(1, run.storage);
     ctx.LoadInput(workload.stream);
     engine::SharedScanOptions options;
+    options.config.sort = run.sort;
     const engine::QueryOutcome outcome = RunSymdiff(ctx, options, false);
     benchmark::DoNotOptimize(outcome.cost.scan_bound);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(tuples) *
                           state.iterations());
 }
-BENCHMARK(BM_SymdiffSharedScan)->Arg(256)->Arg(1024);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_query");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  BenchRecorder recorder("bench_query", /*threads=*/4);
-  recorder.set_metrics(obs.metrics());
-  RunSweepTable(recorder);
-  RunEnvelopeTable(recorder);
-  RunOutOfCoreTable(recorder, small);
-  obs.Finish(std::cout);
-  if (auto written = recorder.Write(); !written.ok()) {
-    std::cerr << "bench_query: " << written.status() << "\n";
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  // E21c picks its own file backend and geometry: it is the out-of-core
+  // row.
+  return rstlab::bench::Main(
+      argc, argv, "bench_query",
+      [](rstlab::bench::Bench& b) {
+        RunSweepTable(b.run, b.recorder);
+        RunEnvelopeTable(b.recorder);
+        RunOutOfCoreTable(b.recorder, b.small);
+        benchmark::RegisterBenchmark("BM_SymdiffSharedScan",
+                                     BM_SymdiffSharedScan, b.run)
+            ->Arg(256)->Arg(1024);
+        return 0;
+      },
+      /*recorder_threads=*/4);
 }

@@ -22,8 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
+#include "driver.h"
 #include "problems/generators.h"
 #include "problems/reference.h"
 #include "query/engine/shared_scan.h"
@@ -40,21 +39,28 @@ using rstlab::Rng;
 using rstlab::core::FitLog2;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
+using rstlab::extmem::StorageOptions;
+using rstlab::sorting::RunOptions;
 using namespace rstlab::query;
 
+/// R1 draws `size` random 24-bit values; R2 takes each of R1's draws
+/// with probability 1/2 and a fresh value otherwise, so the relations
+/// share about half their tuples and every query's result depends on
+/// the order the sorts leave. Each keeps the first copy of a value: a
+/// set, in draw order.
 std::map<std::string, Relation> MakeDatabase(Rng& rng, std::size_t size) {
   std::map<std::string, Relation> db;
-  for (const char* name : {"R1", "R2"}) {
-    Relation r;
-    r.name = name;
-    r.arity = 1;
-    // Draw `size` values and keep the first copy of each: a set.
-    std::set<std::string> seen;
-    for (std::size_t i = 0; i < size; ++i) {
-      std::string value = BitString::Random(24, rng).ToString();
-      if (seen.insert(value).second) r.tuples.push_back({std::move(value)});
-    }
-    db[name] = r;
+  std::map<std::string, std::set<std::string>> seen;
+  const auto add = [&](const std::string& name, const std::string& value) {
+    db[name].name = name;
+    db[name].arity = 1;
+    if (seen[name].insert(value).second) db[name].tuples.push_back({value});
+  };
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::string value = BitString::Random(24, rng).ToString();
+    add("R1", value);
+    add("R2", rng.Bernoulli(0.5) ? value
+                                 : BitString::Random(24, rng).ToString());
   }
   return db;
 }
@@ -70,9 +76,10 @@ struct EngineRun {
   std::size_t internal_bits = 0;
 };
 
-EngineRun RunCertified(const RelAlgExprPtr& query,
+EngineRun RunCertified(const StorageOptions& storage,
+                       const RelAlgExprPtr& query,
                        const std::map<std::string, Relation>& db) {
-  rstlab::stmodel::StContext ctx(1);
+  rstlab::stmodel::StContext ctx(1, storage);
   ctx.LoadInput(EncodeDatabaseStream(db));
   engine::SharedScanOptions options;
   options.config.sort = rstlab::sorting::kPaperSortConfig;
@@ -97,7 +104,7 @@ EngineRun RunCertified(const RelAlgExprPtr& query,
   return run;
 }
 
-void RunScalingTable() {
+void RunScalingTable(const StorageOptions& storage) {
   struct NamedQuery {
     const char* name;
     RelAlgExprPtr query;
@@ -116,7 +123,7 @@ void RunScalingTable() {
     std::vector<double> scans;
     for (std::size_t size : {32u, 64u, 128u, 256u, 512u, 1024u}) {
       std::map<std::string, Relation> db = MakeDatabase(rng, size);
-      const EngineRun run = RunCertified(nq.query, db);
+      const EngineRun run = RunCertified(storage, nq.query, db);
       auto reference = EvaluateInMemory(nq.query, db);
       const bool agrees =
           run.ok && reference.ok() && run.result == reference.value();
@@ -141,7 +148,7 @@ void RunScalingTable() {
   }
 }
 
-void RunQueryComplexityTable() {
+void RunQueryComplexityTable(const StorageOptions& storage) {
   // Theorem 11(a)'s c_Q made visible: deepen the query (chained unions
   // and differences) and fit scans ~ slope * log2(N) per depth. The
   // slope grows with the operator count and is independent of N — the
@@ -160,7 +167,7 @@ void RunQueryComplexityTable() {
     }
     for (std::size_t size : {64u, 256u, 1024u}) {
       std::map<std::string, Relation> db = MakeDatabase(rng, size);
-      const EngineRun run = RunCertified(query, db);
+      const EngineRun run = RunCertified(storage, query, db);
       if (!run.ok) continue;
       ns.push_back(static_cast<double>(run.n));
       scans.push_back(static_cast<double>(run.scans));
@@ -176,7 +183,7 @@ void RunQueryComplexityTable() {
                " query alone (Theorem 11(a))\n\n";
 }
 
-void RunReductionTable() {
+void RunReductionTable(const StorageOptions& storage) {
   Table table(
       "E11: Theorem 11(b) — symdiff query decides SET-EQUALITY",
       {"m", "instances", "correct_decisions"});
@@ -197,7 +204,8 @@ void RunReductionTable() {
       for (const auto& v : inst.second) {
         db["R2"].tuples.push_back({v.ToString()});
       }
-      const EngineRun run = RunCertified(SymmetricDifferenceQuery(), db);
+      const EngineRun run =
+          RunCertified(storage, SymmetricDifferenceQuery(), db);
       if (!run.ok) continue;
       correct += run.result.tuples.empty() ==
                  rstlab::problems::RefSetEquality(inst);
@@ -214,53 +222,53 @@ void RunReductionTable() {
                " inherits the Omega(log N) random-access lower bound\n\n";
 }
 
-/// One engine run at the library defaults (timing loops).
-void RunDefault(const std::string& stream, const RelAlgExprPtr& query) {
-  rstlab::stmodel::StContext ctx(1);
+/// One engine run at the parsed options (timing loops).
+void RunDefault(const RunOptions& run, const std::string& stream,
+                const RelAlgExprPtr& query) {
+  rstlab::stmodel::StContext ctx(1, run.storage);
   ctx.LoadInput(stream);
+  engine::SharedScanOptions options;
+  options.config.sort = run.sort;
   auto out = engine::ExecuteSharedScan(
-      ctx, {engine::QueryRequest{query, ""}}, engine::SharedScanOptions{});
+      ctx, {engine::QueryRequest{query, ""}}, options);
   benchmark::DoNotOptimize(out);
 }
 
-void BM_SymmetricDifference(benchmark::State& state) {
+void BM_SymmetricDifference(benchmark::State& state, const RunOptions& run) {
   Rng rng(8);
   std::map<std::string, Relation> db =
       MakeDatabase(rng, static_cast<std::size_t>(state.range(0)));
   const std::string stream = EncodeDatabaseStream(db);
-  for (auto _ : state) RunDefault(stream, SymmetricDifferenceQuery());
+  for (auto _ : state) RunDefault(run, stream, SymmetricDifferenceQuery());
   state.SetBytesProcessed(static_cast<std::int64_t>(
       stream.size() * static_cast<std::size_t>(state.iterations())));
 }
-BENCHMARK(BM_SymmetricDifference)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_Product(benchmark::State& state) {
+void BM_Product(benchmark::State& state, const RunOptions& run) {
   Rng rng(9);
   std::map<std::string, Relation> db =
       MakeDatabase(rng, static_cast<std::size_t>(state.range(0)));
   const std::string stream = EncodeDatabaseStream(db);
   const RelAlgExprPtr query = Product(Rel("R1"), Rel("R2"));
-  for (auto _ : state) RunDefault(stream, query);
+  for (auto _ : state) RunDefault(run, stream, query);
 }
-BENCHMARK(BM_Product)->Arg(16)->Arg(64);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_relalg");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
   // The tables run at the paper geometry (binary merges of one-field
   // runs; see RunCertified): at the default one, every size here is a
   // single formation run and the log fits would see no merge pass.
-  RunScalingTable();
-  RunQueryComplexityTable();
-  RunReductionTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_relalg", [](rstlab::bench::Bench& b) {
+        RunScalingTable(b.run.storage);
+        RunQueryComplexityTable(b.run.storage);
+        RunReductionTable(b.run.storage);
+        benchmark::RegisterBenchmark("BM_SymmetricDifference",
+                                     BM_SymmetricDifference, b.run)
+            ->Arg(64)->Arg(256)->Arg(1024);
+        benchmark::RegisterBenchmark("BM_Product", BM_Product, b.run)
+            ->Arg(16)->Arg(64);
+        return 0;
+      });
 }

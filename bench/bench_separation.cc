@@ -20,11 +20,10 @@
 
 #include "core/complexity.h"
 #include "core/experiment.h"
+#include "driver.h"
 #include "fingerprint/fingerprint.h"
 #include "nst/certificate.h"
 #include "nst/paper_verifier.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
 #include "problems/generators.h"
 #include "sorting/deciders.h"
 #include "stmodel/st_context.h"
@@ -35,8 +34,9 @@ namespace {
 using rstlab::Rng;
 using rstlab::core::FormatDouble;
 using rstlab::core::Table;
+using rstlab::sorting::RunOptions;
 
-void RunSeparationTable() {
+void RunSeparationTable(const RunOptions& run) {
   Table table("E15: separation summary for MULTISET-EQUALITY",
               {"machine", "m", "N", "scans", "int.bits", "error profile",
                "class (paper)"});
@@ -48,10 +48,11 @@ void RunSeparationTable() {
     const std::string encoded = inst.Encode();
 
     {
-      rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+      rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                     run.storage);
       ctx.LoadInput(encoded);
       auto decided = rstlab::sorting::DecideOnTapes(
-          rstlab::problems::Problem::kMultisetEquality, ctx);
+          rstlab::problems::Problem::kMultisetEquality, ctx, run.sort);
       const auto report = ctx.Report();
       table.AddRow({"deterministic sort+scan", std::to_string(m),
                     std::to_string(inst.N()),
@@ -60,7 +61,7 @@ void RunSeparationTable() {
                     "ST(O(log N), ., O(1)) - tight per Thm 6"});
     }
     {
-      rstlab::stmodel::StContext ctx(1);
+      rstlab::stmodel::StContext ctx(1, run.storage);
       ctx.LoadInput(encoded);
       auto outcome =
           rstlab::fingerprint::TestMultisetEqualityOnTapes(ctx, rng);
@@ -76,7 +77,7 @@ void RunSeparationTable() {
     if (m <= 16) {
       auto cert = rstlab::nst::FindHonestCertificate(
           rstlab::problems::Problem::kMultisetEquality, inst);
-      rstlab::stmodel::StContext ctx(3);
+      rstlab::stmodel::StContext ctx(3, run.storage);
       ctx.LoadInput(encoded);
       auto run = rstlab::nst::RunPaperVerifier(
           rstlab::problems::Problem::kMultisetEquality, inst, *cert, ctx);
@@ -99,7 +100,7 @@ void RunSeparationTable() {
          " LasVegas-RST(o(log N), O(N^{1/4}/log N), O(1)).\n\n";
 }
 
-void RunLowerBoundRegimeTable() {
+void RunLowerBoundRegimeTable(const RunOptions& run) {
   // The Theorem 6 *regime* made concrete: the internal-memory budget
   // O(N^{1/4}/log N) against which the lower bound holds, tabulated so
   // the scale of the statement is visible.
@@ -110,10 +111,11 @@ void RunLowerBoundRegimeTable() {
   for (std::size_t m : {64u, 256u, 1024u, 4096u}) {
     rstlab::problems::Instance inst =
         rstlab::problems::EqualMultisets(m, 16, rng);
-    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                   run.storage);
     ctx.LoadInput(inst.Encode());
     auto decided = rstlab::sorting::DecideOnTapes(
-        rstlab::problems::Problem::kMultisetEquality, ctx);
+        rstlab::problems::Problem::kMultisetEquality, ctx, run.sort);
     (void)decided;
     table.AddRow({std::to_string(inst.N()),
                   std::to_string(s_of_n(inst.N())),
@@ -126,7 +128,8 @@ void RunLowerBoundRegimeTable() {
                " budget\n\n";
 }
 
-void BM_DeterministicVsRandomized(benchmark::State& state) {
+void BM_DeterministicVsRandomized(benchmark::State& state,
+                                  const RunOptions& run) {
   const bool randomized = state.range(1) == 1;
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -135,37 +138,33 @@ void BM_DeterministicVsRandomized(benchmark::State& state) {
   const std::string encoded = inst.Encode();
   for (auto _ : state) {
     if (randomized) {
-      rstlab::stmodel::StContext ctx(1);
+      rstlab::stmodel::StContext ctx(1, run.storage);
       ctx.LoadInput(encoded);
       benchmark::DoNotOptimize(
           rstlab::fingerprint::TestMultisetEqualityOnTapes(ctx, rng));
     } else {
-      rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+      rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                     run.storage);
       ctx.LoadInput(encoded);
       benchmark::DoNotOptimize(rstlab::sorting::DecideOnTapes(
-          rstlab::problems::Problem::kMultisetEquality, ctx));
+          rstlab::problems::Problem::kMultisetEquality, ctx, run.sort));
     }
   }
 }
-BENCHMARK(BM_DeterministicVsRandomized)
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1});
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_separation");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  RunSeparationTable();
-  RunLowerBoundRegimeTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_separation", [](rstlab::bench::Bench& b) {
+        RunSeparationTable(b.run);
+        RunLowerBoundRegimeTable(b.run);
+        benchmark::RegisterBenchmark("BM_DeterministicVsRandomized",
+                                     BM_DeterministicVsRandomized, b.run)
+            ->Args({256, 0})
+            ->Args({256, 1})
+            ->Args({1024, 0})
+            ->Args({1024, 1});
+        return 0;
+      });
 }

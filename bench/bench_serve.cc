@@ -30,6 +30,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "driver.h"
 #include "parallel/bench_recorder.h"
 #include "serve/client.h"
 #include "serve/http.h"
@@ -40,14 +41,9 @@
 
 namespace {
 
+using rstlab::bench::SecondsSince;
 using rstlab::parallel::BenchRecorder;
 using rstlab::parallel::Checksum64;
-
-double SecondsSince(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// The fixed payload pool. Distinct enough to exercise every cache
 /// kind, small enough that a full pass is cheap, and repeated enough
@@ -142,7 +138,7 @@ double Quantile(const std::vector<double>& sorted, double q) {
   return sorted[index];
 }
 
-int RunLoad() {
+int RunLoad(const rstlab::sorting::RunOptions& run) {
   rstlab::serve::ShutdownGuard shutdown;
 
   const char* scale = std::getenv("RSTLAB_SERVE_BENCH_REQUESTS");
@@ -154,6 +150,7 @@ int RunLoad() {
   options.threads = 4;
   options.max_inflight = 512;
   options.max_connections = 64;
+  options.run = run;
   rstlab::serve::HttpServer server(options);
   const rstlab::Status started = server.Start();
   if (!started.ok()) {
@@ -296,9 +293,9 @@ BENCHMARK(BM_ParseExperimentRequest);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int load_result = RunLoad();
-  if (load_result != 0) return load_result;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  // The E20 row carries the server's own metrics, so RunLoad keeps its
+  // recorder.
+  return rstlab::bench::Main(
+      argc, argv, "bench_serve",
+      [](rstlab::bench::Bench& b) { return RunLoad(b.run); });
 }

@@ -13,8 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
-#include "extmem/storage.h"
-#include "obs/flags.h"
+#include "driver.h"
 #include "permutation/phi.h"
 #include "problems/check_phi.h"
 #include "problems/reference.h"
@@ -30,7 +29,7 @@ using rstlab::core::FormatDouble;
 using rstlab::core::Table;
 using namespace rstlab::problems;
 
-void RunReductionTable() {
+void RunReductionTable(const rstlab::extmem::StorageOptions& storage) {
   Table table("E14: Appendix E reduction f(v) to SHORT instances",
               {"m", "n", "N", "N'", "blowup", "record_bits", "scans",
                "int.bits", "answers_preserved"});
@@ -57,7 +56,7 @@ void RunReductionTable() {
                         Problem::kCheckSort}) {
         preserved = preserved && RefDecide(p, reduced) == yes;
       }
-      rstlab::stmodel::StContext ctx(2);
+      rstlab::stmodel::StContext ctx(2, storage);
       ctx.LoadInput(inst.Encode());
       if (!reduction.ReduceOnTapes(ctx).ok()) preserved = false;
       scans = ctx.Report().scan_bound;
@@ -76,7 +75,7 @@ void RunReductionTable() {
                " <= 2 log m' bits\n\n";
 }
 
-void RunShortDeciderTable() {
+void RunShortDeciderTable(const rstlab::sorting::RunOptions& run) {
   // Corollary 7 for the SHORT variants: with records of O(log m') bits,
   // the sort-based decider's record buffers shrink to O(log N), giving
   // the paper's ST(O(log N), O(log N), 3) profile end to end.
@@ -91,10 +90,11 @@ void RunShortDeciderTable() {
     ShortReduction reduction(problem);
     const Instance reduced =
         reduction.Reduce(problem.RandomYesInstance(rng));
-    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                   run.storage);
     ctx.LoadInput(reduced.Encode());
     auto decided = rstlab::sorting::DecideOnTapes(
-        Problem::kMultisetEquality, ctx);
+        Problem::kMultisetEquality, ctx, run.sort);
     const auto report = ctx.Report();
     table.AddRow(
         {std::to_string(reduced.m()), std::to_string(reduced.N()),
@@ -123,7 +123,8 @@ void BM_ShortReductionHost(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortReductionHost)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_ShortReductionTapes(benchmark::State& state) {
+void BM_ShortReductionTapes(benchmark::State& state,
+                            const rstlab::extmem::StorageOptions& storage) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   CheckPhi problem(m, 4 * m,
@@ -131,28 +132,24 @@ void BM_ShortReductionTapes(benchmark::State& state) {
   ShortReduction reduction(problem);
   const std::string encoded = problem.RandomYesInstance(rng).Encode();
   for (auto _ : state) {
-    rstlab::stmodel::StContext ctx(2);
+    rstlab::stmodel::StContext ctx(2, storage);
     ctx.LoadInput(encoded);
     benchmark::DoNotOptimize(reduction.ReduceOnTapes(ctx));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(
       encoded.size() * static_cast<std::size_t>(state.iterations())));
 }
-BENCHMARK(BM_ShortReductionTapes)->Arg(8)->Arg(32)->Arg(128);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_short_reduction");
-  rstlab::extmem::StorageOptions storage =
-      rstlab::extmem::ParseBackendFlags(&argc, argv);
-  storage.metrics = obs.metrics();
-  rstlab::extmem::SetProcessStorageOptions(storage);
-  RunReductionTable();
-  RunShortDeciderTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_short_reduction", [](rstlab::bench::Bench& b) {
+        RunReductionTable(b.run.storage);
+        RunShortDeciderTable(b.run);
+        benchmark::RegisterBenchmark("BM_ShortReductionTapes",
+                                     BM_ShortReductionTapes, b.run.storage)
+            ->Arg(8)->Arg(32)->Arg(128);
+        return 0;
+      });
 }

@@ -17,10 +17,10 @@
 #include <numeric>
 
 #include "core/experiment.h"
+#include "driver.h"
 #include "listmachine/simulation.h"
 #include "machine/machine_builder.h"
 #include "machine/turing_machine.h"
-#include "obs/flags.h"
 #include "parallel/bench_recorder.h"
 #include "parallel/trial_runner.h"
 
@@ -145,24 +145,10 @@ BENCHMARK(BM_Simulation)->Arg(8)->Arg(32)->Arg(128);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_simulation");
-  const std::size_t threads =
-      rstlab::parallel::ParseThreadsFlag(&argc, argv);
-  TrialRunner runner(threads);
-  runner.set_trace(obs.sink());
-  BenchRecorder recorder("bench_simulation", threads);
-  recorder.set_metrics(obs.metrics());
-  std::cout << "trial engine: threads=" << threads << "\n\n";
-  RunProbabilityTable(runner, recorder);
-  RunResourceTable();
-  if (auto written = recorder.Write(); written.ok()) {
-    std::cout << "trial timings -> " << written.value() << "\n\n";
-  } else {
-    std::cerr << "warning: " << written.status() << "\n";
-  }
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_simulation", [](rstlab::bench::Bench& b) {
+        RunProbabilityTable(b.runner, b.recorder);
+        RunResourceTable();
+        return 0;
+      });
 }

@@ -14,7 +14,7 @@
 #include <cmath>
 
 #include "core/experiment.h"
-#include "obs/flags.h"
+#include "driver.h"
 #include "permutation/phi.h"
 #include "permutation/sortedness.h"
 #include "util/random.h"
@@ -71,11 +71,9 @@ BENCHMARK(BM_BitReversalConstruction)->Arg(1 << 10)->Arg(1 << 16);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_sortedness");
-  RunSortednessTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_sortedness", [](rstlab::bench::Bench&) {
+        RunSortednessTable();
+        return 0;
+      });
 }

@@ -16,7 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.h"
-#include "obs/flags.h"
+#include "driver.h"
 #include "problems/generators.h"
 #include "problems/reference.h"
 #include "query/xml.h"
@@ -144,12 +144,10 @@ BENCHMARK(BM_XmlParse)->Arg(64)->Arg(256);
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::obs::ObsSession obs(rstlab::obs::ParseObsFlags(&argc, argv),
-                              "bench_xml_queries");
-  RunSemanticsTable();
-  RunTTildeTable();
-  obs.Finish(std::cout);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rstlab::bench::Main(
+      argc, argv, "bench_xml_queries", [](rstlab::bench::Bench&) {
+        RunSemanticsTable();
+        RunTTildeTable();
+        return 0;
+      });
 }

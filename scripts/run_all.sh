@@ -2,19 +2,13 @@
 # Builds everything, runs the test suite and every experiment binary,
 # capturing test_output.txt and bench_output.txt at the repo root.
 #
-# Thread count for the Monte-Carlo trial engine: pass --threads=N (or
-# set RSTLAB_THREADS); defaults to all hardware threads. Tallies are
-# bit-identical for any value, only wall clock changes.
+# Every argument is passed to every bench binary. --threads=N sizes the
+# Monte-Carlo trial engine (default RSTLAB_THREADS, else all hardware
+# threads); tallies are bit-identical for any value, only wall clock
+# changes. The common flags (--tape-backend, --merge-fanout, ...) reach
+# every bench too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Route --threads=N through the environment so binaries that predate
-# the trial engine never see an unknown flag.
-for arg in "$@"; do
-  case "$arg" in
-    --threads=*) export RSTLAB_THREADS="${arg#--threads=}" ;;
-  esac
-done
 
 # Prefer Ninja when available, else fall back to CMake's default
 # generator (what the tier-1 command uses).
@@ -33,7 +27,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # Bench binaries merge their trial-engine timings into one JSON file.
 export RSTLAB_BENCH_JSON="build/BENCH_trials.json"
 for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] && "$b"
+  [ -f "$b" ] && [ -x "$b" ] && "$b" "$@"
 done 2>&1 | tee bench_output.txt
 
 # Keep the perf-trajectory snapshot visible at the repo root.

@@ -105,24 +105,7 @@ Result<std::unique_ptr<TapeStorage>> CreateStorage(
   return std::unique_ptr<TapeStorage>(std::move(storage).value());
 }
 
-namespace {
-
-StorageOptions* ProcessOptionsSlot() {
-  static StorageOptions slot;
-  return &slot;
-}
-
-bool g_process_options_set = false;
-
-}  // namespace
-
-void SetProcessStorageOptions(const StorageOptions& options) {
-  *ProcessOptionsSlot() = options;
-  g_process_options_set = true;
-}
-
 StorageOptions DefaultStorageOptions() {
-  if (g_process_options_set) return *ProcessOptionsSlot();
   StorageOptions options;
   if (const char* backend = std::getenv("RSTLAB_TAPE_BACKEND")) {
     if (std::strcmp(backend, "file") == 0) {
@@ -141,52 +124,6 @@ StorageOptions DefaultStorageOptions() {
   if (const char* dir = std::getenv("RSTLAB_TAPE_DIR")) {
     if (*dir != '\0') options.dir = dir;
   }
-  return options;
-}
-
-StorageOptions ParseBackendFlags(int* argc, char** argv) {
-  StorageOptions options = DefaultStorageOptions();
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--tape-backend=", 15) == 0) {
-      const char* value = arg + 15;
-      if (std::strcmp(value, "file") == 0) {
-        options.backend = BackendKind::kFile;
-      } else if (std::strcmp(value, "mem") == 0) {
-        options.backend = BackendKind::kMem;
-      } else {
-        std::fprintf(stderr,
-                     "rstlab extmem: ignoring --tape-backend=%s "
-                     "(want mem or file)\n",
-                     value);
-      }
-      continue;
-    }
-    if (std::strncmp(arg, "--cache-blocks=", 15) == 0) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(arg + 15, &end, 10);
-      if (end == arg + 15 || parsed == 0) {
-        std::fprintf(stderr, "rstlab extmem: ignoring %s\n", arg);
-      } else {
-        options.cache_blocks = static_cast<std::size_t>(parsed);
-      }
-      continue;
-    }
-    if (std::strncmp(arg, "--readahead-blocks=", 19) == 0) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(arg + 19, &end, 10);
-      if (end == arg + 19 || parsed == 0) {
-        std::fprintf(stderr, "rstlab extmem: ignoring %s\n", arg);
-      } else {
-        options.readahead_blocks = static_cast<std::size_t>(parsed);
-      }
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  for (int i = out; i < *argc; ++i) argv[i] = nullptr;
-  *argc = out;
   return options;
 }
 

@@ -135,7 +135,8 @@ enum class BackendKind {
 const char* BackendName(BackendKind kind);
 
 /// Configuration for creating tape storages — the knob set behind
-/// `--tape-backend` / `--cache-blocks` and their environment fallbacks.
+/// `--tape-backend` / `--cache-blocks` / `--readahead-blocks` and their
+/// environment fallbacks.
 struct StorageOptions {
   BackendKind backend = BackendKind::kMem;
   /// Cells per block of the file backend (rounded up to a power of 2).
@@ -161,27 +162,15 @@ struct StorageOptions {
 Result<std::unique_ptr<TapeStorage>> CreateStorage(
     const StorageOptions& options);
 
-/// Process-default options: the override installed by
-/// `SetProcessStorageOptions` if any, else `RSTLAB_TAPE_BACKEND`
-/// (mem|file), `RSTLAB_CACHE_BLOCKS`, `RSTLAB_BLOCK_SIZE`,
-/// `RSTLAB_READAHEAD_BLOCKS` and `RSTLAB_TAPE_DIR` read from the
-/// environment. `stmodel::StContext`'s
-/// plain constructor uses this, which is how CI forces the whole test
-/// suite through the file backend without touching each test.
+/// The default options: `RSTLAB_TAPE_BACKEND` (mem|file),
+/// `RSTLAB_CACHE_BLOCKS`, `RSTLAB_BLOCK_SIZE`, `RSTLAB_READAHEAD_BLOCKS`
+/// and `RSTLAB_TAPE_DIR` read from the environment over the
+/// `StorageOptions` defaults. A pure function of the environment; a
+/// parsed `--tape-backend` reaches a context only as a value
+/// (`sorting::ParseRunOptions`). `stmodel::StContext`'s plain
+/// constructor uses this, which is how CI forces the whole test suite
+/// through the file backend without touching each test.
 StorageOptions DefaultStorageOptions();
-
-/// Installs `options` as the process default handed out by
-/// `DefaultStorageOptions()` — how a binary's `--tape-backend` /
-/// `--cache-blocks` flags reach every context it creates afterwards.
-/// Any `options.metrics` registry must outlive the contexts.
-void SetProcessStorageOptions(const StorageOptions& options);
-
-/// Extracts `--tape-backend={mem,file}`, `--cache-blocks=K` and
-/// `--readahead-blocks=K` from
-/// argv (removing them, like `obs::ParseObsFlags`), starting from
-/// `DefaultStorageOptions()` so flags override environment overrides
-/// defaults. Unrecognized values keep the default and warn on stderr.
-StorageOptions ParseBackendFlags(int* argc, char** argv);
 
 }  // namespace rstlab::extmem
 

@@ -93,7 +93,7 @@ class BatchFingerprintEngine {
  public:
   explicit BatchFingerprintEngine(
       FingerprintParamBatch batch,
-      simd::SimdLevel level = simd::ProcessSimdLevel());
+      simd::SimdLevel level = simd::ResolveSimdLevel());
 
   const FingerprintParamBatch& params() const { return batch_; }
   simd::SimdLevel level() const { return level_; }
@@ -146,7 +146,7 @@ struct AmplifiedOutcome {
 /// when parameter sampling fails (astronomical m*n).
 Result<AmplifiedOutcome> TestMultisetEqualityAmplified(
     const problems::Instance& instance, std::size_t lanes, Rng& rng,
-    simd::SimdLevel level = simd::ProcessSimdLevel());
+    simd::SimdLevel level = simd::ResolveSimdLevel());
 
 /// Residues of every value against every prime lane in one stream
 /// pass: result[i * primes.size() + lane] = value_i mod primes[lane],
@@ -155,7 +155,7 @@ Result<AmplifiedOutcome> TestMultisetEqualityAmplified(
 std::vector<std::uint64_t> BatchResidues(
     const problems::Instance& instance,
     const std::vector<std::uint64_t>& primes,
-    simd::SimdLevel level = simd::ProcessSimdLevel());
+    simd::SimdLevel level = simd::ResolveSimdLevel());
 
 /// Batched Claim 1 estimator: trial group g (lane-width `lanes`) draws
 /// its primes from the Rng of its first trial index, computes all
@@ -168,7 +168,7 @@ std::vector<std::uint64_t> BatchResidues(
 Claim1Estimate EstimateClaim1CollisionRateBatched(
     const problems::Instance& instance, std::size_t trials,
     std::uint64_t seed, parallel::TrialRunner& runner, std::size_t lanes,
-    simd::SimdLevel level = simd::ProcessSimdLevel());
+    simd::SimdLevel level = simd::ResolveSimdLevel());
 
 }  // namespace rstlab::fingerprint
 

@@ -1,28 +1,6 @@
 #include "obs/flags.h"
 
-#include <cstring>
-
 namespace rstlab::obs {
-
-ObsOptions ParseObsFlags(int* argc, char** argv) {
-  ObsOptions options;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace=", 8) == 0) {
-      options.trace_path = arg + 8;
-      continue;
-    }
-    if (std::strcmp(arg, "--metrics") == 0) {
-      options.metrics = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  for (int i = out; i < *argc; ++i) argv[i] = nullptr;
-  *argc = out;
-  return options;
-}
 
 ObsSession::ObsSession(const ObsOptions& options, std::string bench_name)
     : bench_name_(std::move(bench_name)) {

@@ -11,17 +11,14 @@
 
 namespace rstlab::obs {
 
-/// Observability options shared by every bench binary.
+/// Observability options shared by every bench binary: the values of
+/// its `--trace=FILE` and `--metrics` flags.
 struct ObsOptions {
   /// Destination for the JSON-lines trace (empty = no trace file).
   std::string trace_path;
   /// Whether to tally trace-derived metrics and print/record them.
   bool metrics = false;
 };
-
-/// Extracts `--trace=FILE` and `--metrics` from argv (removing them, so
-/// downstream flag parsers — e.g. google-benchmark — never see them).
-ObsOptions ParseObsFlags(int* argc, char** argv);
 
 /// Owns a bench binary's observability plumbing for one invocation:
 /// the JSON-lines exporter behind `--trace=FILE`, the metrics registry

@@ -1,8 +1,6 @@
 #include "parallel/trial_runner.h"
 
 #include <cstdlib>
-#include <cstring>
-#include <string>
 #include <thread>
 
 namespace rstlab::parallel {
@@ -37,26 +35,6 @@ std::size_t ResolveThreadCount(std::size_t cli_threads) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-std::size_t ParseThreadsFlag(int* argc, char** argv) {
-  std::size_t cli_threads = 0;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(arg + 10, &end, 10);
-      if (end != arg + 10 && *end == '\0' && parsed > 0) {
-        cli_threads = static_cast<std::size_t>(parsed);
-      }
-      continue;  // strip the flag either way
-    }
-    argv[out++] = argv[i];
-  }
-  for (int i = out; i < *argc; ++i) argv[i] = nullptr;
-  *argc = out;
-  return ResolveThreadCount(cli_threads);
 }
 
 }  // namespace rstlab::parallel

@@ -151,11 +151,6 @@ class ScopedTrialTrace {
 /// environment variable, else std::thread::hardware_concurrency().
 std::size_t ResolveThreadCount(std::size_t cli_threads = 0);
 
-/// Extracts a `--threads=N` flag from argv (removing it, so downstream
-/// flag parsers — e.g. google-benchmark — never see it) and resolves the
-/// effective thread count via ResolveThreadCount.
-std::size_t ParseThreadsFlag(int* argc, char** argv);
-
 }  // namespace rstlab::parallel
 
 #endif  // RSTLAB_PARALLEL_TRIAL_RUNNER_H_

@@ -33,10 +33,9 @@ Status RelationSpool::Append(const std::string& relation,
   }
   Lane& lane = *it->second;
   if (lane.fields == 0) {
-    lane.arity = payload.empty()
-                     ? 0
-                     : 1 + static_cast<std::size_t>(std::count(
-                               payload.begin(), payload.end(), ','));
+    // An empty payload is the one-attribute tuple ("").
+    lane.arity = 1 + static_cast<std::size_t>(
+                         std::count(payload.begin(), payload.end(), ','));
   }
   std::string& buffered = pending[relation];
   buffered += payload;
@@ -101,8 +100,9 @@ Result<std::unique_ptr<RelationSpool>> RelationSpool::Build(
       }
       meter_field(field);
       // One complete "name,v1,v2,..." field: split at the first comma.
+      // "name," carries the one-attribute tuple ("").
       const std::size_t comma = field.find(',');
-      if (comma != std::string::npos && comma + 1 < field.size()) {
+      if (comma != std::string::npos) {
         RSTLAB_RETURN_IF_ERROR(
             spool->Append(field.substr(0, comma), field.substr(comma + 1),
                           ctx.storage_options(), pending));

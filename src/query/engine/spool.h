@@ -40,7 +40,8 @@ class RelationSpool {
     std::size_t fields = 0;
     /// Longest payload (encoded tuple) length.
     std::size_t max_field_len = 0;
-    /// Attribute count of the first tuple (0 when empty).
+    /// Attribute count of the first tuple (an empty payload is the
+    /// one-attribute tuple ("")).
     std::size_t arity = 0;
     mutable std::mutex mutex;
   };

@@ -58,7 +58,7 @@ bool WriteErrorResponse(int fd, const Status& status) {
 HttpServer::HttpServer(const ServerOptions& options)
     : options_(options),
       cache_(options.cache_entries, &metrics_),
-      service_(cache_),
+      service_(cache_, options.run),
       scheduler_(FairScheduler::Options{options.threads,
                                         options.max_inflight}) {}
 

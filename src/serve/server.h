@@ -17,6 +17,7 @@
 #include "serve/http.h"
 #include "serve/scheduler.h"
 #include "serve/service.h"
+#include "sorting/run_options.h"
 #include "util/status.h"
 
 namespace rstlab::serve {
@@ -43,6 +44,9 @@ struct ServerOptions {
   std::uint64_t max_generator_cells = std::uint64_t{1} << 24;
   /// HTTP head/body size limits.
   HttpLimits limits;
+  /// Storage, sort geometry and lane width of every experiment (the
+  /// common flags of `rstlab`).
+  sorting::RunOptions run;
 };
 
 /// The experiment daemon: minimal HTTP/1.1 over loopback, one accept

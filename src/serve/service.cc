@@ -22,7 +22,6 @@
 #include "serve/json.h"
 #include "sorting/deciders.h"
 #include "stmodel/st_context.h"
-#include "util/simd.h"
 
 namespace rstlab::serve {
 
@@ -116,8 +115,9 @@ std::string ExperimentResult::ToJson() const {
   return writer.Build();
 }
 
-ExperimentService::ExperimentService(ArtifactCache& cache)
-    : cache_(cache) {}
+ExperimentService::ExperimentService(ArtifactCache& cache,
+                                     sorting::RunOptions run)
+    : cache_(cache), run_(std::move(run)) {}
 
 Result<ExperimentResult> ExperimentService::Execute(
     const ExperimentRequest& request, NdjsonTraceSink* events) {
@@ -217,11 +217,11 @@ Result<ExperimentResult> ExperimentService::Execute(
   if (request.problem == "set-equality" ||
       request.problem == "multiset-equality" ||
       request.problem == "check-sort" || request.problem == "disjoint") {
-    stmodel::StContext ctx(sorting::kDeciderTapes);
+    stmodel::StContext ctx(sorting::kDeciderTapes, run_.storage);
     ctx.LoadInput(encoded);
     Result<bool> verdict = false;
     if (request.problem == "disjoint") {
-      verdict = sorting::DecideDisjointOnTapes(ctx);
+      verdict = sorting::DecideDisjointOnTapes(ctx, run_.sort);
     } else {
       const problems::Problem problem =
           request.problem == "set-equality"
@@ -229,7 +229,7 @@ Result<ExperimentResult> ExperimentService::Execute(
               : request.problem == "multiset-equality"
                     ? problems::Problem::kMultisetEquality
                     : problems::Problem::kCheckSort;
-      verdict = sorting::DecideOnTapes(problem, ctx);
+      verdict = sorting::DecideOnTapes(problem, ctx, run_.sort);
     }
     if (!verdict.ok()) return verdict.status();
     const tape::ResourceReport report = ctx.Report();
@@ -286,7 +286,6 @@ Result<ExperimentResult> ExperimentService::Execute(
   if (!setup_result.ok()) return setup_result.status();
   const FingerprintSetup& setup = *setup_result.value();
   const parallel::SeedSequence seeds(request.seed);
-  const simd::SimdLevel level = simd::ProcessSimdLevel();
   for (std::uint64_t first = 0; first < request.trials;
        first += kFingerprintLaneGroup) {
     const std::uint64_t end =
@@ -310,7 +309,7 @@ Result<ExperimentResult> ExperimentService::Execute(
       batch.PushLane({setup.k, p1.value(), setup.p2, x});
     }
     const fingerprint::BatchFingerprintEngine engine(std::move(batch),
-                                                     level);
+                                                     run_.simd);
     const fingerprint::BatchTally tally = engine.Evaluate(*instance);
     for (std::size_t lane = 0; lane < engine.lanes(); ++lane) {
       const std::uint64_t accepted = tally.lane_accepted[lane];
@@ -328,7 +327,7 @@ Result<ExperimentResult> ExperimentService::Execute(
   // dedicated stream past the trial range, so the tally above is
   // untouched.
   if (request.budget.has_value()) {
-    stmodel::StContext ctx(1);
+    stmodel::StContext ctx(1, run_.storage);
     ctx.LoadInput(encoded);
     Rng meter_rng(seeds.SeedForTrial(request.trials));
     Result<fingerprint::FingerprintOutcome> metered =

@@ -8,6 +8,7 @@
 #include "serve/artifact_cache.h"
 #include "serve/request.h"
 #include "serve/trace_bridge.h"
+#include "sorting/run_options.h"
 #include "tape/resource_meter.h"
 #include "util/status.h"
 
@@ -58,8 +59,11 @@ struct ExperimentResult {
 class ExperimentService {
  public:
   /// Uses `cache` for prime pools, parsed instances/XML/queries and
-  /// analyzer certificates.
-  explicit ExperimentService(ArtifactCache& cache);
+  /// analyzer certificates, and `run` for the storage of decider and
+  /// budget contexts, the geometry of their sorts and the lane width of
+  /// the batched fingerprint.
+  explicit ExperimentService(ArtifactCache& cache,
+                             sorting::RunOptions run = {});
 
   /// Runs one request. `events` (nullable) receives NDJSON progress
   /// frames: per-trial markers when `request.stream` is set. Errors are
@@ -70,6 +74,7 @@ class ExperimentService {
 
  private:
   ArtifactCache& cache_;
+  const sorting::RunOptions run_;
 };
 
 }  // namespace rstlab::serve

@@ -61,7 +61,7 @@ bool SortedSetsEqual(stmodel::StContext& ctx, std::size_t x,
 }  // namespace
 
 Result<bool> DecideOnTapes(problems::Problem problem,
-                           stmodel::StContext& ctx) {
+                           stmodel::StContext& ctx, const SortConfig& sort) {
   if (ctx.num_tapes() < kDeciderTapes) {
     return Status::InvalidArgument("decider needs 5 external tapes");
   }
@@ -74,24 +74,25 @@ Result<bool> DecideOnTapes(problems::Problem problem,
     case problems::Problem::kCheckSort: {
       // Sort the first list; the instance is a "yes" iff the sorted
       // first list equals the second list verbatim.
-      RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
+      RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 1, sort));
       return SequencesEqual(ctx, 1, 2, m);
     }
     case problems::Problem::kMultisetEquality: {
-      RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
-      RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 2, 3, 4));
+      RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 1, sort));
+      RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 2, sort));
       return SequencesEqual(ctx, 1, 2, m);
     }
     case problems::Problem::kSetEquality: {
-      RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
-      RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 2, 3, 4));
+      RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 1, sort));
+      RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 2, sort));
       return SortedSetsEqual(ctx, 1, 2, m);
     }
   }
   return Status::Internal("unknown problem");
 }
 
-Result<bool> DecideDisjointOnTapes(stmodel::StContext& ctx) {
+Result<bool> DecideDisjointOnTapes(stmodel::StContext& ctx,
+                                   const SortConfig& sort) {
   if (ctx.num_tapes() < kDeciderTapes) {
     return Status::InvalidArgument("decider needs 5 external tapes");
   }
@@ -99,8 +100,8 @@ Result<bool> DecideDisjointOnTapes(stmodel::StContext& ctx) {
   if (!m_result.ok()) return m_result.status();
   const std::size_t m = m_result.value();
   if (m == 0) return true;
-  RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
-  RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 2, 3, 4));
+  RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 1, sort));
+  RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 2, sort));
 
   // Merge scan over the sorted halves: disjoint iff no value coincides.
   ctx.tape(1).Seek(0);
@@ -118,14 +119,14 @@ Result<bool> DecideDisjointOnTapes(stmodel::StContext& ctx) {
   return true;
 }
 
-Status SortInputToTape(stmodel::StContext& ctx) {
+Status SortInputToTape(stmodel::StContext& ctx, const SortConfig& sort) {
   if (ctx.num_tapes() < kDeciderTapes) {
     return Status::InvalidArgument("sorter needs 5 external tapes");
   }
   tape::Tape& in = ctx.tape(0);
   stmodel::Rewind(in);
   while (!stmodel::AtEnd(in)) stmodel::CopyField(in, ctx.tape(1));
-  return SortForDecider(ctx, 1, 3, 4);
+  return ParallelSortFieldsOnTape(ctx, 1, sort);
 }
 
 }  // namespace rstlab::sorting

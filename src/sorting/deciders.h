@@ -2,6 +2,7 @@
 #define RSTLAB_SORTING_DECIDERS_H_
 
 #include "problems/instance.h"
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "util/status.h"
 
@@ -30,14 +31,17 @@ namespace rstlab::sorting {
 /// Number of external tapes the deciders require.
 inline constexpr std::size_t kDeciderTapes = 5;
 
-/// Decides `problem` on the instance loaded on tape 0 of `ctx`.
+/// Decides `problem` on the instance loaded on tape 0 of `ctx`, sorting
+/// at geometry `sort`.
 Result<bool> DecideOnTapes(problems::Problem problem,
-                           stmodel::StContext& ctx);
+                           stmodel::StContext& ctx,
+                           const SortConfig& sort = DefaultSortConfig());
 
 /// The sorting *function* problem (Corollary 10): sorts the input fields
-/// of tape 0 and leaves the result on tape 1 (ascending lexicographic).
-/// Tape requirements as above.
-Status SortInputToTape(stmodel::StContext& ctx);
+/// of tape 0 at geometry `sort` and leaves the result on tape 1
+/// (ascending lexicographic). Tape requirements as above.
+Status SortInputToTape(stmodel::StContext& ctx,
+                       const SortConfig& sort = DefaultSortConfig());
 
 /// Deterministic decider for the DISJOINT-SETS problem of the paper's
 /// Section 9 (see problems/disjoint_sets.h): sorts both halves and
@@ -46,7 +50,8 @@ Status SortInputToTape(stmodel::StContext& ctx);
 /// ST(O(log N), O(n + log N), 5). No matching randomized 2-scan
 /// algorithm is known; the paper leaves both a lower and a better upper
 /// bound open.
-Result<bool> DecideDisjointOnTapes(stmodel::StContext& ctx);
+Result<bool> DecideDisjointOnTapes(
+    stmodel::StContext& ctx, const SortConfig& sort = DefaultSortConfig());
 
 }  // namespace rstlab::sorting
 

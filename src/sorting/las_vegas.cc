@@ -41,7 +41,8 @@ LasVegasOutcome CertifiedSort(const std::vector<std::string>& fields,
   return outcome;
 }
 
-Result<bool> CheckSortViaSorting(stmodel::StContext& ctx) {
+Result<bool> CheckSortViaSorting(stmodel::StContext& ctx,
+                                 const SortConfig& sort) {
   if (ctx.num_tapes() < kDeciderTapes) {
     return Status::InvalidArgument("reduction needs 5 external tapes");
   }
@@ -62,7 +63,7 @@ Result<bool> CheckSortViaSorting(stmodel::StContext& ctx) {
   for (std::size_t i = 0; i < m; ++i) {
     stmodel::CopyField(in, ctx.tape(2));
   }
-  RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
+  RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(ctx, 1, sort));
   ctx.tape(1).Seek(0);
   ctx.tape(2).Seek(0);
   for (std::size_t i = 0; i < m; ++i) {

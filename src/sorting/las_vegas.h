@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -49,8 +50,9 @@ LasVegasOutcome CertifiedSort(const std::vector<std::string>& fields,
 /// the first half (SortInputToTape machinery) and comparing with the
 /// second in one parallel scan. Equivalent to
 /// DecideOnTapes(kCheckSort, ...) but stated as a reduction so the
-/// lower-bound direction is visible in code.
-Result<bool> CheckSortViaSorting(stmodel::StContext& ctx);
+/// lower-bound direction is visible in code. Sorts at geometry `sort`.
+Result<bool> CheckSortViaSorting(
+    stmodel::StContext& ctx, const SortConfig& sort = DefaultSortConfig());
 
 /// A deliberately faulty subroutine for tests/experiments: sorts
 /// correctly, then corrupts the output with probability `fault_rate`

@@ -873,10 +873,10 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
 
 Status SortForDecider(stmodel::StContext& ctx, std::size_t src,
                       std::size_t /*aux1*/, std::size_t /*aux2*/,
-                      SortStats* stats) {
+                      SortStats* stats, const SortConfig& sort) {
   ParallelSortStats parallel_stats;
-  RSTLAB_RETURN_IF_ERROR(ParallelSortFieldsOnTape(
-      ctx, src, DefaultSortConfig(), &parallel_stats));
+  RSTLAB_RETURN_IF_ERROR(
+      ParallelSortFieldsOnTape(ctx, src, sort, &parallel_stats));
   if (stats != nullptr) {
     stats->num_fields = parallel_stats.num_fields;
     stats->passes = parallel_stats.num_fields <= 1

@@ -81,13 +81,14 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
                                 const SortConfig& config,
                                 ParallelSortStats* stats = nullptr);
 
-/// The sort the decision procedures use: `ParallelSortFieldsOnTape`
-/// at the process default `DefaultSortConfig()`. The k-way sort spills
-/// to its own lanes, so `aux1` and `aux2` (the decider layout's
-/// working tapes) are left untouched.
+/// `ParallelSortFieldsOnTape` at geometry `sort`, reporting the
+/// decider-level `SortStats`. The k-way sort spills to its own lanes,
+/// so `aux1` and `aux2` (the decider layout's working tapes) are left
+/// untouched.
 Status SortForDecider(stmodel::StContext& ctx, std::size_t src,
                       std::size_t aux1, std::size_t aux2,
-                      SortStats* stats = nullptr);
+                      SortStats* stats = nullptr,
+                      const SortConfig& sort = DefaultSortConfig());
 
 }  // namespace rstlab::sorting
 

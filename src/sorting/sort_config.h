@@ -43,41 +43,14 @@ struct SortConfig {
 inline constexpr SortConfig kPaperSortConfig{
     .threads = 1, .fanout = 2, .run_length = 1};
 
-/// Process-default config: the override installed by
-/// `SetProcessSortConfig` if any, else RSTLAB_SORT_THREADS /
-/// RSTLAB_MERGE_FANOUT / RSTLAB_RUN_LENGTH read from the environment
-/// over the `SortConfig` defaults. `sorting::SortForDecider` consults
-/// this, which is how CI pushes the whole decider suite through another
-/// geometry without touching each test.
+/// The default geometry: RSTLAB_SORT_THREADS / RSTLAB_MERGE_FANOUT /
+/// RSTLAB_RUN_LENGTH read from the environment over the `SortConfig`
+/// defaults. A pure function of the environment; a parsed `--merge-fanout`
+/// and friends reach a sort only as a value (`ParseRunOptions`, defined
+/// beside it in `run_options.cc` because both apply one fanout rule).
+/// The deciders default to it, which is how CI pushes the whole decider
+/// suite through another geometry without touching each test.
 SortConfig DefaultSortConfig();
-
-/// Installs `config` as the process default handed out by
-/// `DefaultSortConfig()`.
-void SetProcessSortConfig(const SortConfig& config);
-
-/// Installs `config` as the process default for the guard's lifetime
-/// and restores the previous default when it goes out of scope.
-class ScopedProcessSortConfig {
- public:
-  explicit ScopedProcessSortConfig(const SortConfig& config)
-      : saved_(DefaultSortConfig()) {
-    SetProcessSortConfig(config);
-  }
-  ~ScopedProcessSortConfig() { SetProcessSortConfig(saved_); }
-  ScopedProcessSortConfig(const ScopedProcessSortConfig&) = delete;
-  ScopedProcessSortConfig& operator=(const ScopedProcessSortConfig&) =
-      delete;
-
- private:
-  SortConfig saved_;
-};
-
-/// Extracts `--sort-threads=T`, `--merge-fanout=K` and `--run-length=L`
-/// from argv (removing them, like `extmem::ParseBackendFlags`),
-/// starting from `DefaultSortConfig()` so flags override environment
-/// overrides defaults. Unparsable values, and a fanout below 2 from the
-/// flag or the environment, warn on stderr and keep the default.
-SortConfig ParseSortFlags(int* argc, char** argv);
 
 }  // namespace rstlab::sorting
 

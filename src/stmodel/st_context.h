@@ -31,8 +31,8 @@ namespace rstlab::stmodel {
 /// time differ.
 class StContext {
  public:
-  /// A context with `num_external_tapes` empty tapes on the
-  /// process-default storage backend.
+  /// A context with `num_external_tapes` empty tapes on the default
+  /// storage backend (`extmem::DefaultStorageOptions()`).
   explicit StContext(std::size_t num_external_tapes);
 
   /// A context whose tapes use the given storage backend. If a backing

@@ -1,20 +1,8 @@
 #include "util/simd.h"
 
 #include <cstdlib>
-#include <cstring>
 
 namespace rstlab::simd {
-namespace {
-
-/// Sentinel meaning "no process-wide override installed".
-constexpr int kUnsetLevel = -1;
-
-int& ProcessLevelSlot() {
-  static int slot = kUnsetLevel;
-  return slot;
-}
-
-}  // namespace
 
 std::size_t SimdLanes(SimdLevel level) {
   switch (level) {
@@ -75,18 +63,6 @@ SimdLevel ResolveSimdLevel() {
   return ParseSimdLevelName(env);
 }
 
-SimdLevel ProcessSimdLevel() {
-  const int slot = ProcessLevelSlot();
-  if (slot == kUnsetLevel) {
-    return ResolveSimdLevel();
-  }
-  return static_cast<SimdLevel>(slot);
-}
-
-void SetProcessSimdLevel(SimdLevel level) {
-  ProcessLevelSlot() = static_cast<int>(level);
-}
-
 bool VectorKernelsAvailable() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx2") != 0;
@@ -95,30 +71,6 @@ bool VectorKernelsAvailable() {
 #else
   return false;
 #endif
-}
-
-SimdLevel ParseSimdFlag(int* argc, char** argv) {
-  std::string requested;
-  bool saw_flag = false;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--simd=", 7) == 0) {
-      requested = arg + 7;
-      saw_flag = true;
-      continue;  // strip the flag so downstream parsers never see it
-    }
-    argv[out++] = argv[i];
-  }
-  for (int i = out; i < *argc; ++i) {
-    argv[i] = nullptr;
-  }
-  *argc = out;
-
-  const SimdLevel level =
-      saw_flag ? ParseSimdLevelName(requested) : ResolveSimdLevel();
-  SetProcessSimdLevel(level);
-  return level;
 }
 
 }  // namespace rstlab::simd

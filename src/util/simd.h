@@ -10,12 +10,11 @@
 /// The batched fingerprint engine evaluates the same value stream
 /// against several (p1, x) lanes at once. How many lanes ride in one
 /// group — and whether a group is executed with vector instructions or
-/// a plain loop — is decided here, once, at process scope, so every
-/// subsystem (benches, CLI, conform suites, tests) agrees on the
-/// active level.
+/// a plain loop — is a `SimdLevel` value handed to each engine.
 ///
 /// Resolution order, strongest first:
-///   1. `--simd=<level>` CLI flag (stripped by `ParseSimdFlag`);
+///   1. `--simd=<level>` CLI flag (parsed by `sorting::ParseRunOptions`
+///      and passed on as a value);
 ///   2. `RSTLAB_SIMD` environment variable;
 ///   3. hardware detection (`DetectSimdLevel`).
 /// Accepted spellings for a level: `off` / `scalar` for kScalar, `4`
@@ -55,15 +54,10 @@ SimdLevel DetectSimdLevel();
 SimdLevel ParseSimdLevelName(const std::string& name);
 
 /// Level requested by the `RSTLAB_SIMD` environment variable, or
-/// `DetectSimdLevel()` when unset / set to `auto`.
+/// `DetectSimdLevel()` when unset / set to `auto`. A pure function of
+/// the environment and the CPU: the default for every engine that is
+/// not handed a level.
 SimdLevel ResolveSimdLevel();
-
-/// The process-wide level: the last `SetProcessSimdLevel` value, or
-/// `ResolveSimdLevel()` if none was installed.
-SimdLevel ProcessSimdLevel();
-
-/// Installs `level` as the process-wide level (CLI flag plumbing).
-void SetProcessSimdLevel(SimdLevel level);
 
 /// True when this binary carries compiled vector kernels for the
 /// current architecture AND the running CPU can execute them. When
@@ -71,12 +65,6 @@ void SetProcessSimdLevel(SimdLevel level);
 /// the portable scalar loop, preserving the batch schedule (and the
 /// tallies) exactly.
 bool VectorKernelsAvailable();
-
-/// Strips every `--simd=<level>` flag from argv (mirrors
-/// `parallel::ParseThreadsFlag`), installs the resolved level via
-/// `SetProcessSimdLevel`, and returns it. With no flag present the
-/// env / detection order above decides.
-SimdLevel ParseSimdFlag(int* argc, char** argv);
 
 // ---------------------------------------------------------------------
 // Portable two-lane u64 vector wrapper.

@@ -78,14 +78,14 @@ TEST(DisjointDeciderTest, EmptyInstanceIsDisjoint) {
 
 TEST(DisjointDeciderTest, ScanBoundIsLogarithmic) {
   // The paper geometry, so every quadrupling of m adds merge passes.
-  const sorting::ScopedProcessSortConfig paper(sorting::kPaperSortConfig);
   Rng rng(77);
   std::vector<std::uint64_t> scans;
   for (std::size_t m : {32u, 128u, 512u}) {
     Instance inst = DisjointSets(m, 12, rng);
     stmodel::StContext ctx(sorting::kDeciderTapes);
     ctx.LoadInput(inst.Encode());
-    ASSERT_TRUE(sorting::DecideDisjointOnTapes(ctx).ok());
+    ASSERT_TRUE(
+        sorting::DecideDisjointOnTapes(ctx, sorting::kPaperSortConfig).ok());
     scans.push_back(ctx.Report().scan_bound);
   }
   EXPECT_GT(scans[1] - scans[0], 0u);

@@ -555,20 +555,5 @@ TEST(StorageFactoryTest, CreatesFileBackendInRequestedDirectory) {
   std::filesystem::remove_all(options.dir);
 }
 
-TEST(StorageFactoryTest, ParseBackendFlagsStripsRecognizedFlags) {
-  const char* raw[] = {"prog", "--tape-backend=file", "keep",
-                       "--cache-blocks=7", nullptr};
-  char* argv[5];
-  for (int i = 0; i < 4; ++i) argv[i] = const_cast<char*>(raw[i]);
-  argv[4] = nullptr;
-  int argc = 4;
-  StorageOptions options = ParseBackendFlags(&argc, argv);
-  EXPECT_EQ(options.backend, BackendKind::kFile);
-  EXPECT_EQ(options.cache_blocks, 7u);
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[0], "prog");
-  EXPECT_STREQ(argv[1], "keep");
-}
-
 }  // namespace
 }  // namespace rstlab::extmem

@@ -157,14 +157,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CheckSortViaSortingTest,
 
 TEST(CheckSortViaSortingTest, ScanBoundLogarithmic) {
   // The paper geometry, so every quadrupling of m adds merge passes.
-  const ScopedProcessSortConfig paper(kPaperSortConfig);
   Rng rng(9);
   std::vector<std::uint64_t> scans;
   for (std::size_t m : {32u, 128u, 512u}) {
     problems::Instance inst = problems::SortedPair(m, 12, rng);
     stmodel::StContext ctx(kDeciderTapes);
     ctx.LoadInput(inst.Encode());
-    ASSERT_TRUE(CheckSortViaSorting(ctx).ok());
+    ASSERT_TRUE(CheckSortViaSorting(ctx, kPaperSortConfig).ok());
     scans.push_back(ctx.Report().scan_bound);
   }
   EXPECT_GT(scans[1] - scans[0], 0u);

@@ -360,20 +360,6 @@ TEST(TraceTest, TeeSinkForwardsToBoth) {
   EXPECT_EQ(b.total(), 2u);
 }
 
-TEST(FlagsTest, ParseObsFlagsStripsOnlyItsFlags) {
-  const char* argv_in[] = {"bench", "--trace=/tmp/t.jsonl", "--threads=2",
-                           "--metrics", "--benchmark_min_time=0.01"};
-  char* argv[5];
-  for (int i = 0; i < 5; ++i) argv[i] = const_cast<char*>(argv_in[i]);
-  int argc = 5;
-  const ObsOptions options = ParseObsFlags(&argc, argv);
-  EXPECT_EQ(options.trace_path, "/tmp/t.jsonl");
-  EXPECT_TRUE(options.metrics);
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "--threads=2");
-  EXPECT_STREQ(argv[2], "--benchmark_min_time=0.01");
-}
-
 TEST(FlagsTest, ObsSessionWithoutFlagsIsNullSink) {
   ObsSession session(ObsOptions{}, "bench_test");
   EXPECT_EQ(session.sink(), nullptr);

@@ -4,15 +4,17 @@
 // the serial run), the paper geometry's ceil(log2 m) passes and
 // Theta(log N) scans, backend independence, the RST015 sort
 // certificate, spill-lane cleanup on success and failure, the decider
-// entry point and the fanout flag/environment rule.
+// entry point, the common-flag parser and the fanout environment rule.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "sorting/deciders.h"
 #include "sorting/loser_tree.h"
 #include "sorting/parallel_sort.h"
+#include "sorting/run_options.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "stmodel/tape_io.h"
@@ -550,7 +553,7 @@ TEST(ParallelSortTest, SpillLanesUnlinkedOnSuccessAndFailure) {
 // The decider entry point and the fanout rule
 // ---------------------------------------------------------------------
 
-TEST(SortForDeciderTest, SortsAtTheProcessConfig) {
+TEST(SortForDeciderTest, SortsAtTheGivenConfig) {
   Rng rng(21);
   std::vector<std::string> input = RandomMultiset(60, rng);
   std::vector<std::string> expected = input;
@@ -566,67 +569,137 @@ TEST(SortForDeciderTest, SortsAtTheProcessConfig) {
       {kPaperSortConfig, 1 + 6}, {four_way, 1 + 2}};
   for (const auto& [config, passes] : cases) {
     SCOPED_TRACE("fanout " + std::to_string(config.fanout));
-    const ScopedProcessSortConfig scoped(config);
     stmodel::StContext ctx(kDeciderTapes);
     ctx.LoadInput(JoinFields(input));
-    ASSERT_TRUE(SortInputToTape(ctx).ok());
+    ASSERT_TRUE(SortInputToTape(ctx, config).ok());
     EXPECT_EQ(TapeFields(ctx, 1), expected);
 
     stmodel::StContext direct(kDeciderTapes);
     direct.LoadInput(JoinFields(input));
     SortStats stats;
-    ASSERT_TRUE(SortForDecider(direct, 0, 3, 4, &stats).ok());
+    ASSERT_TRUE(SortForDecider(direct, 0, 3, 4, &stats, config).ok());
     EXPECT_EQ(TapeFields(direct, 0), expected);
     EXPECT_EQ(stats.num_fields, input.size());
     EXPECT_EQ(stats.passes, passes);
   }
 }
 
-TEST(SortConfigTest, ScopedConfigRestoresThePreviousDefault) {
-  const SortConfig before = DefaultSortConfig();
-  {
-    const ScopedProcessSortConfig paper(kPaperSortConfig);
-    EXPECT_EQ(DefaultSortConfig().fanout, 2u);
-    EXPECT_EQ(DefaultSortConfig().run_length, 1u);
+/// Sets an environment variable for one scope, then restores the value
+/// the process had (a CI job's, say) or unsets it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
   }
-  EXPECT_EQ(DefaultSortConfig().fanout, before.fanout);
-  EXPECT_EQ(DefaultSortConfig().run_length, before.run_length);
-  EXPECT_EQ(DefaultSortConfig().threads, before.threads);
+  ~ScopedEnv() {
+    saved_ ? ::setenv(name_, saved_->c_str(), 1) : ::unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+auto Fields(const RunOptions& r) {
+  return std::make_tuple(
+      std::string(extmem::BackendName(r.storage.backend)),
+      r.storage.cache_blocks, r.storage.readahead_blocks,
+      r.storage.block_size, r.sort.threads, r.sort.fanout,
+      r.sort.run_length, std::string(simd::SimdLevelName(r.simd)));
 }
 
-TEST(SortConfigTest, MergeFanoutFlagBelowTwoKeepsTheDefault) {
-  const std::size_t fallback = DefaultSortConfig().fanout;
-  ASSERT_GE(fallback, 2u);
-  for (const char* flag : {"--merge-fanout=0", "--merge-fanout=1"}) {
-    std::string prog = "prog";
-    std::string arg = flag;
-    char* argv[] = {prog.data(), arg.data(), nullptr};
-    int argc = 2;
-    const SortConfig parsed = ParseSortFlags(&argc, argv);
-    EXPECT_EQ(parsed.fanout, fallback) << flag;
-    EXPECT_EQ(argc, 1) << flag;  // consumed either way
+// The one parser of the common flags: each flag's value, flag over
+// environment, the clamps and warnings, and argv stripping. Expected
+// values are the environment defaults with the case's change applied,
+// so the test holds under the CI jobs' RSTLAB_* settings too.
+TEST(RunOptionsTest, ParseRunOptions) {
+  using R = RunOptions;
+  using Env = std::pair<const char*, const char*>;
+  struct Case {
+    std::vector<const char*> flags;
+    Env env;  // set for the case when `env.first` is not null
+    void (*expect)(R&);
+    const char* warning = nullptr;  // expected on stderr
+  };
+  const auto keep = [](R&) {};
+  const auto kFile = extmem::BackendKind::kFile;
+  const Case cases[] = {
+      {{"--tape-backend=file"}, {}, [](R& r) { r.storage.backend = kFile; }},
+      {{"--tape-backend=disk"}, {}, keep,
+       "ignoring --tape-backend=disk (want mem or file)"},
+      {{"--tape-backend=mem"}, {"RSTLAB_TAPE_BACKEND", "file"},
+       [](R& r) { r.storage.backend = extmem::BackendKind::kMem; }},
+      {{"--cache-blocks=7"}, {"RSTLAB_CACHE_BLOCKS", "5"},
+       [](R& r) { r.storage.cache_blocks = 7; }},
+      {{"--cache-blocks=0"}, {}, keep, "ignoring --cache-blocks=0"},
+      {{"--readahead-blocks=9"}, {},
+       [](R& r) { r.storage.readahead_blocks = 9; }},
+      {{"--readahead-blocks=x"}, {}, keep, "ignoring --readahead-blocks=x"},
+      {{"--sort-threads=3"}, {"RSTLAB_SORT_THREADS", "5"},
+       [](R& r) { r.sort.threads = 3; }},
+      {{"--sort-threads=0"}, {}, [](R& r) { r.sort.threads = 1; }},
+      {{"--merge-fanout=3"}, {"RSTLAB_MERGE_FANOUT", "4"},
+       [](R& r) { r.sort.fanout = 3; }},
+      {{"--merge-fanout=1"}, {}, keep,
+       "ignoring --merge-fanout=1 (want a merge fanout >= 2)"},
+      {{"--merge-fanout=0"}, {}, keep,
+       "ignoring --merge-fanout=0 (want a merge fanout >= 2)"},
+      {{"--run-length=4"}, {}, [](R& r) { r.sort.run_length = 4; }},
+      {{"--run-length=0"}, {"RSTLAB_RUN_LENGTH", "16"},
+       [](R& r) { r.sort.run_length = 1; }},
+      {{"--simd=8"}, {"RSTLAB_SIMD", "off"},
+       [](R& r) { r.simd = simd::SimdLevel::kLanes8; }},
+      {{"--simd=8", "--simd=off"}, {},
+       [](R& r) { r.simd = simd::SimdLevel::kScalar; }},
+      {{}, {"RSTLAB_MERGE_FANOUT", "4"}, [](R& r) { r.sort.fanout = 4; }},
+  };
+  for (const Case& c : cases) {
+    std::vector<char*> argv = {const_cast<char*>("prog"),
+                               const_cast<char*>("keep")};
+    std::string label;
+    for (const char* flag : c.flags) {
+      argv.push_back(const_cast<char*>(flag));
+      label += std::string(flag) + " ";
+    }
+    argv.push_back(const_cast<char*>("--benchmark_filter=x"));
+    argv.push_back(nullptr);
+    if (c.env.first != nullptr) {
+      label += std::string(c.env.first) + "=" + c.env.second;
+    }
+    SCOPED_TRACE(label);
+    std::optional<ScopedEnv> env;
+    if (c.env.first != nullptr) env.emplace(c.env.first, c.env.second);
+    R expected;
+    c.expect(expected);
+
+    int argc = static_cast<int>(argv.size()) - 1;
+    ::testing::internal::CaptureStderr();
+    const R parsed = ParseRunOptions(&argc, argv.data());
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(Fields(parsed), Fields(expected));
+    EXPECT_EQ(warnings.find(c.warning ? c.warning : "ignoring --") !=
+                  std::string::npos,
+              c.warning != nullptr)
+        << warnings;
+    ASSERT_EQ(argc, 3);
+    EXPECT_STREQ(argv[1], "keep");
+    EXPECT_STREQ(argv[2], "--benchmark_filter=x");
+    EXPECT_EQ(argv[3], nullptr);
   }
-  std::string prog = "prog";
-  std::string arg = "--merge-fanout=3";
-  char* argv[] = {prog.data(), arg.data(), nullptr};
-  int argc = 2;
-  EXPECT_EQ(ParseSortFlags(&argc, argv).fanout, 3u);
 }
 
-// The environment fallback is read only while no process config is
-// installed, so each value runs in a freshly started copy of this
-// binary (the "threadsafe" death-test style re-executes it).
-TEST(SortConfigDeathTest, MergeFanoutEnvBelowTwoKeepsTheDefault) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(SortConfigTest, MergeFanoutEnvBelowTwoKeepsTheDefault) {
   for (const char* value : {"0", "1"}) {
-    EXPECT_EXIT(
-        {
-          setenv("RSTLAB_MERGE_FANOUT", value, 1);
-          std::exit(DefaultSortConfig().fanout == SortConfig{}.fanout ? 0
-                                                                      : 1);
-        },
-        ::testing::ExitedWithCode(0), "ignoring RSTLAB_MERGE_FANOUT")
-        << value;
+    const ScopedEnv env("RSTLAB_MERGE_FANOUT", value);
+    ::testing::internal::CaptureStderr();
+    const std::size_t fanout = DefaultSortConfig().fanout;
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(fanout, SortConfig{}.fanout) << value;
+    EXPECT_NE(warnings.find("ignoring RSTLAB_MERGE_FANOUT=" +
+                            std::string(value)),
+              std::string::npos)
+        << warnings;
   }
 }
 

@@ -167,18 +167,6 @@ TEST(ResolveThreadCountTest, PrecedenceCliThenEnv) {
   EXPECT_GE(ResolveThreadCount(0), 1u);
 }
 
-TEST(ResolveThreadCountTest, ParseThreadsFlagStripsArgv) {
-  ::unsetenv("RSTLAB_THREADS");
-  const char* raw[] = {"bench", "--threads=7", "--benchmark_filter=x"};
-  char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
-                  const_cast<char*>(raw[2])};
-  int argc = 3;
-  EXPECT_EQ(ParseThreadsFlag(&argc, argv), 7u);
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
-}
-
 // ---------------------------------------------------------------------
 // BenchRecorder
 // ---------------------------------------------------------------------

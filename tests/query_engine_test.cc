@@ -238,6 +238,40 @@ TEST(QueryEngineEdge, PairDifferingInExactlyOneElement) {
   EXPECT_EQ(run.value()[0].result.tuples.size(), 2u);
 }
 
+// A one-attribute tuple holding the empty string is encoded "R2,#": an
+// empty payload is still a tuple, and the engine must see it as the
+// oracle does.
+TEST(QueryEngineEdge, EmptyStringTuplesMatchReference) {
+  std::map<std::string, Relation> db;
+  for (const char* name : {"R1", "R2"}) {
+    db[name].name = name;
+    db[name].arity = 1;
+  }
+  db["R1"].tuples = {{"0"}, {""}};
+  db["R2"].tuples = {{""}};
+  const std::string stream = EncodeDatabaseStream(db);
+  ASSERT_EQ(stream, "R1,0#R1,#R2,#");
+  const std::vector<RelAlgExprPtr> exprs = {
+      Union(Rel("R1"), Rel("R2")), Difference(Rel("R1"), Rel("R2")),
+      Intersection(Rel("R1"), Rel("R2")), SymmetricDifferenceQuery(),
+      Rel("R2")};
+  for (const auto& storage : {MemOptions(), FileOptions()}) {
+    Result<std::vector<QueryOutcome>> run =
+        RunEngine(stream, exprs, storage, 1);
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      const QueryOutcome& outcome = run.value()[i];
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.message();
+      Result<Relation> reference = EvaluateInMemory(exprs[i], db);
+      ASSERT_TRUE(reference.ok()) << reference.status().message();
+      EXPECT_TRUE(outcome.result == reference.value())
+          << "plan " << outcome.plan << ": "
+          << outcome.result.tuples.size() << " tuple(s), reference "
+          << reference.value().tuples.size();
+    }
+  }
+}
+
 std::map<std::string, Relation> DupKeyDatabase(std::size_t n) {
   std::map<std::string, Relation> db;
   for (const char* name : {"R1", "R2"}) {

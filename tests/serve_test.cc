@@ -35,6 +35,9 @@
 #include "serve/shard.h"
 #include "serve/shutdown.h"
 #include "serve/trace_bridge.h"
+#include "sorting/deciders.h"
+#include "sorting/run_options.h"
+#include "stmodel/st_context.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -864,6 +867,37 @@ TEST(FingerprintServiceTest, Claim1OverTheCachedPoolMatchesSelfSieving) {
   EXPECT_EQ(result.value().extra, reference.collisions);
   EXPECT_EQ(result.value().checksum,
             parallel::Checksum64({reference.trials, reference.collisions}));
+}
+
+// ---------------------------------------------------------------------
+// The run options reach the service as a value: a decider request bills
+// exactly what DecideOnTapes bills at the service's geometry.
+// ---------------------------------------------------------------------
+
+TEST(DeciderServiceTest, BillsAtTheGeometryItIsGiven) {
+  Rng rng(5);
+  const problems::Instance instance = problems::EqualMultisets(64, 12, rng);
+  const auto bills = [&](const sorting::SortConfig& sort) {
+    stmodel::StContext ctx(sorting::kDeciderTapes);
+    ctx.LoadInput(instance.Encode());
+    const Result<bool> decided = sorting::DecideOnTapes(
+        problems::Problem::kMultisetEquality, ctx, sort);
+    EXPECT_TRUE(decided.ok() && decided.value());
+    sorting::RunOptions run;
+    run.sort = sort;
+    ArtifactCache cache(16);
+    const Result<ExperimentResult> served =
+        ExperimentService(cache, run)
+            .Execute(InlineRequest("multiset-equality", instance, 1, 1));
+    EXPECT_EQ(served.ok() && served.value().report
+                  ? served.value().report->ToString()
+                  : "no bill",
+              ctx.Report().ToString());
+    return ctx.Report().ToString();
+  };
+  // 64 one-field runs take six binary merge passes; at fanout 8 and run
+  // length 1024 they are one formation run.
+  EXPECT_NE(bills(sorting::kPaperSortConfig), bills(sorting::SortConfig{}));
 }
 
 // ---------------------------------------------------------------------

@@ -42,30 +42,6 @@ TEST(SimdLevelTest, EnvResolution) {
   EXPECT_EQ(ResolveSimdLevel(), DetectSimdLevel());
 }
 
-TEST(SimdLevelTest, ProcessOverrideWinsOverEnv) {
-  ASSERT_EQ(setenv("RSTLAB_SIMD", "off", 1), 0);
-  SetProcessSimdLevel(SimdLevel::kLanes8);
-  EXPECT_EQ(ProcessSimdLevel(), SimdLevel::kLanes8);
-  SetProcessSimdLevel(SimdLevel::kScalar);
-  EXPECT_EQ(ProcessSimdLevel(), SimdLevel::kScalar);
-  ASSERT_EQ(unsetenv("RSTLAB_SIMD"), 0);
-}
-
-TEST(SimdLevelTest, ParseSimdFlagStripsArgv) {
-  char prog[] = "bench";
-  char flag[] = "--simd=4";
-  char keep[] = "--benchmark_filter=all";
-  char* argv[] = {prog, flag, keep, nullptr};
-  int argc = 3;
-  EXPECT_EQ(ParseSimdFlag(&argc, argv), SimdLevel::kLanes4);
-  EXPECT_EQ(argc, 2);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--benchmark_filter=all");
-  EXPECT_EQ(argv[2], nullptr);
-  EXPECT_EQ(ProcessSimdLevel(), SimdLevel::kLanes4);
-  SetProcessSimdLevel(SimdLevel::kScalar);
-}
-
 TEST(U64x2Test, ArithmeticPrimitives) {
   const std::uint64_t a_vals[2] = {5, (std::uint64_t{1} << 32) - 1};
   const std::uint64_t b_vals[2] = {7, 3};

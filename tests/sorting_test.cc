@@ -80,7 +80,6 @@ TEST(DeciderTest, EmptyInstanceIsYes) {
 TEST(DeciderTest, ScanBoundGrowsLogarithmically) {
   // The paper geometry, so every quadrupling of m adds merge passes (at
   // the default one, all four sizes are a single formation run).
-  const ScopedProcessSortConfig paper(kPaperSortConfig);
   Rng rng(5);
   std::vector<double> ns;
   std::vector<double> scans;
@@ -88,8 +87,9 @@ TEST(DeciderTest, ScanBoundGrowsLogarithmically) {
     problems::Instance inst = problems::EqualMultisets(m, 16, rng);
     stmodel::StContext ctx(kDeciderTapes);
     ctx.LoadInput(inst.Encode());
-    ASSERT_TRUE(
-        DecideOnTapes(problems::Problem::kMultisetEquality, ctx).ok());
+    ASSERT_TRUE(DecideOnTapes(problems::Problem::kMultisetEquality, ctx,
+                              kPaperSortConfig)
+                    .ok());
     ns.push_back(static_cast<double>(inst.N()));
     scans.push_back(static_cast<double>(ctx.Report().scan_bound));
   }

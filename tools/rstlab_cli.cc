@@ -13,19 +13,17 @@
 // default) reads from stdin. Every decision prints the verdict plus the
 // run's resource bill in the paper's (r, s, t) cost units.
 //
-// Every command also honors --tape-backend={mem,file} and
-// --cache-blocks=K (and the RSTLAB_TAPE_BACKEND / RSTLAB_CACHE_BLOCKS
-// environment variables): with the file backend, tapes live in
-// checksummed block files on disk and only K blocks per tape stay in
-// RAM, so deciders run on inputs larger than memory.
-// --readahead-blocks=K tunes the file backend's sequential prefetch.
-//
-// The sorting commands additionally honor --sort-threads=T,
-// --merge-fanout=K and --run-length=L (RSTLAB_SORT_THREADS /
-// RSTLAB_MERGE_FANOUT / RSTLAB_RUN_LENGTH): the geometry of the k-way
-// external merge sort behind every decider (default K = 8, L = 1024;
-// K = 2, L = 1 is the paper's binary merge sort), whose measured (r, s)
-// bill is identical at every thread count.
+// The common flags (sorting::ParseRunOptions, over the RSTLAB_*
+// environment) are parsed once and handed to decide, fingerprint, sort,
+// query and serve as values: --tape-backend=file runs the tapes from
+// checksummed block files with --cache-blocks=K blocks per tape in RAM,
+// so deciders run on inputs larger than memory; --merge-fanout=K and
+// --run-length=L set the k-way sort behind every decider (default
+// K = 8, L = 1024; K = 2, L = 1 is the paper's binary merge sort), whose
+// (r, s) bill is identical at every --sort-threads; --simd=LEVEL picks
+// serve's fingerprint lane width. conform runs at the environment
+// defaults, so a replay triple names the same run whatever flags are
+// passed.
 
 #include <poll.h>
 
@@ -41,15 +39,13 @@
 #include "conform/harness.h"
 #include "conform/oracle.h"
 #include "core/rstlab.h"
-#include "extmem/storage.h"
 #include "machine/turing_machine.h"
 #include "query/engine/shared_scan.h"
 #include "query/workload.h"
 #include "serve/server.h"
 #include "serve/shutdown.h"
 #include "sorting/parallel_sort.h"
-#include "sorting/sort_config.h"
-#include "util/simd.h"
+#include "sorting/run_options.h"
 
 namespace {
 
@@ -113,34 +109,16 @@ int Usage() {
          " 127.0.0.1;\n"
       << "                                          SIGINT/SIGTERM drain"
          " and exit 0\n"
-      << "common flags (any command):\n"
-      << "  --tape-backend=<mem|file>               mem (default) keeps"
-         " tapes in RAM;\n"
-      << "                                          file runs them"
-         " out-of-core\n"
-      << "  --cache-blocks=<K>                      per-tape cache"
-         " budget (file backend)\n"
-      << "  --readahead-blocks=<K>                  blocks prefetched"
-         " ahead on scans\n"
-      << "  --sort-threads=<T>                      worker threads for"
-         " the k-way sort\n"
-      << "  --merge-fanout=<K>                      runs merged per"
-         " group (>= 2, default 8)\n"
-      << "  --run-length=<L>                        fields per formation"
-         " run\n"
-      << "  --simd=<off|4|8|auto>                   lane width for the"
-         " batched\n"
-      << "                                          fingerprint engine"
-         " (RSTLAB_SIMD)\n";
+      << "common flags (decide, fingerprint, sort, query, serve):\n"
+      << rstlab::sorting::kRunOptionsUsage;
   return 2;
 }
 
 // Rejects any remaining `--flag` the subcommand does not define. The
-// global parsers (backend/sort/simd) already stripped theirs, so by the
-// time a subcommand sees a `--` argument it is either in that
-// subcommand's own vocabulary or a typo — and a typo silently consumed
-// as a positional argument (a file name, a selector) is worse than an
-// error.
+// common-flag parser already stripped its flags, so by the time a
+// subcommand sees a `--` argument it is either in that subcommand's own
+// vocabulary or a typo — and a typo silently consumed as a positional
+// argument (a file name, a selector) is worse than an error.
 bool RejectUnknownFlags(const char* command,
                         const std::vector<std::string>& args) {
   for (const std::string& arg : args) {
@@ -226,27 +204,29 @@ int Generate(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Decide(const std::vector<std::string>& args) {
+int Decide(const std::vector<std::string>& args,
+           const rstlab::sorting::RunOptions& run) {
   if (RejectUnknownFlags("decide", args)) return Usage();
   if (args.empty()) return Usage();
   const std::string& problem_name = args[0];
   const std::string source = args.size() > 1 ? args[1] : "-";
   const std::string encoded = ReadInput(source);
 
-  rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+  rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes,
+                                 run.storage);
   ctx.LoadInput(encoded);
   rstlab::Result<bool> verdict = false;
   if (problem_name == "set-equality") {
     verdict = rstlab::sorting::DecideOnTapes(
-        rstlab::problems::Problem::kSetEquality, ctx);
+        rstlab::problems::Problem::kSetEquality, ctx, run.sort);
   } else if (problem_name == "multiset-equality") {
     verdict = rstlab::sorting::DecideOnTapes(
-        rstlab::problems::Problem::kMultisetEquality, ctx);
+        rstlab::problems::Problem::kMultisetEquality, ctx, run.sort);
   } else if (problem_name == "check-sort") {
     verdict = rstlab::sorting::DecideOnTapes(
-        rstlab::problems::Problem::kCheckSort, ctx);
+        rstlab::problems::Problem::kCheckSort, ctx, run.sort);
   } else if (problem_name == "disjoint") {
-    verdict = rstlab::sorting::DecideDisjointOnTapes(ctx);
+    verdict = rstlab::sorting::DecideDisjointOnTapes(ctx, run.sort);
   } else {
     return Usage();
   }
@@ -259,13 +239,14 @@ int Decide(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Fingerprint(const std::vector<std::string>& args) {
+int Fingerprint(const std::vector<std::string>& args,
+                const rstlab::sorting::RunOptions& run) {
   if (RejectUnknownFlags("fingerprint", args)) return Usage();
   const std::string source = args.empty() ? "-" : args[0];
   const std::uint64_t seed =
       args.size() > 1 ? std::strtoull(args[1].c_str(), nullptr, 10) : 1;
   rstlab::Rng rng(seed);
-  rstlab::stmodel::StContext ctx(1);
+  rstlab::stmodel::StContext ctx(1, run.storage);
   ctx.LoadInput(ReadInput(source));
   auto outcome = rstlab::fingerprint::TestMultisetEqualityOnTapes(ctx, rng);
   if (!outcome.ok()) {
@@ -280,13 +261,15 @@ int Fingerprint(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Sort(const std::vector<std::string>& args) {
+int Sort(const std::vector<std::string>& args,
+         const rstlab::sorting::RunOptions& run) {
   if (RejectUnknownFlags("sort", args)) return Usage();
   const std::string source = args.empty() ? "-" : args[0];
-  rstlab::stmodel::StContext ctx(3);
+  rstlab::stmodel::StContext ctx(3, run.storage);
   ctx.LoadInput(ReadInput(source));
   rstlab::sorting::SortStats stats;
-  rstlab::Status status = rstlab::sorting::SortForDecider(ctx, 0, 1, 2, &stats);
+  rstlab::Status status =
+      rstlab::sorting::SortForDecider(ctx, 0, 1, 2, &stats, run.sort);
   if (!status.ok()) {
     std::cerr << "error: " << status << "\n";
     return 1;
@@ -328,8 +311,10 @@ int XPath(const std::vector<std::string>& args) {
 // The streaming query engine from the shell: every named plan runs
 // over ONE shared pass of the input stream (or XML document), each
 // with its own certified pipeline and (r, s) bill.
-int Query(const std::vector<std::string>& args) {
+int Query(const std::vector<std::string>& args,
+          const rstlab::sorting::RunOptions& run) {
   rstlab::query::engine::SharedScanOptions options;
+  options.config.sort = run.sort;
   bool explain = false;
   std::vector<std::string> positional;
   for (const std::string& arg : args) {
@@ -386,7 +371,7 @@ int Query(const std::vector<std::string>& args) {
   }
 
   const std::string source = positional.size() > 1 ? positional[1] : "-";
-  rstlab::stmodel::StContext ctx(1);
+  rstlab::stmodel::StContext ctx(1, run.storage);
   ctx.LoadInput(ReadInput(source));
   auto outcomes =
       rstlab::query::engine::ExecuteSharedScan(ctx, requests, options);
@@ -756,8 +741,10 @@ int Conform(const std::vector<std::string>& args) {
 // Runs the experiment daemon until SIGINT/SIGTERM, then drains every
 // in-flight trial and exits 0 (the graceful-shutdown contract shared
 // with the bench binaries).
-int Serve(const std::vector<std::string>& args) {
+int Serve(const std::vector<std::string>& args,
+          const rstlab::sorting::RunOptions& run) {
   rstlab::serve::ServerOptions options;
+  options.run = run;
   for (const std::string& arg : args) {
     if (arg.rfind("--port=", 0) == 0) {
       options.port = static_cast<std::uint16_t>(
@@ -805,24 +792,21 @@ int Serve(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  rstlab::extmem::SetProcessStorageOptions(
-      rstlab::extmem::ParseBackendFlags(&argc, argv));
-  rstlab::sorting::SetProcessSortConfig(
-      rstlab::sorting::ParseSortFlags(&argc, argv));
-  rstlab::simd::ParseSimdFlag(&argc, argv);
+  const rstlab::sorting::RunOptions run =
+      rstlab::sorting::ParseRunOptions(&argc, argv);
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) return Usage();
   const std::string command = args[0];
   args.erase(args.begin());
   if (command == "generate") return Generate(args);
-  if (command == "decide") return Decide(args);
-  if (command == "fingerprint") return Fingerprint(args);
-  if (command == "sort") return Sort(args);
+  if (command == "decide") return Decide(args, run);
+  if (command == "fingerprint") return Fingerprint(args, run);
+  if (command == "sort") return Sort(args, run);
   if (command == "xpath") return XPath(args);
-  if (command == "query") return Query(args);
+  if (command == "query") return Query(args, run);
   if (command == "check") return Check(args);
   if (command == "conform") return Conform(args);
-  if (command == "serve") return Serve(args);
+  if (command == "serve") return Serve(args, run);
   std::cerr << "unknown subcommand \"" << command << "\"\n";
   return Usage();
 }
