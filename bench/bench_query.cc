@@ -122,6 +122,8 @@ void RunEnvelopeTable(BenchRecorder& recorder) {
   shape.max_field_len = 19;
   const rstlab::check::QueryCertificate cert =
       rstlab::check::CertifyQueryPlan(shape);
+  constexpr rstlab::check::Theorem11Envelope envelope =
+      rstlab::check::kTheorem11Envelope;
 
   Table table("E21b: certificate vs Theorem 11 envelope, N = 2^8..2^24",
               {"N", "cert r(N)", "envelope r(N)", "cert s(N)",
@@ -138,14 +140,13 @@ void RunEnvelopeTable(BenchRecorder& recorder) {
     evals.push_back(r);
     evals.push_back(s);
     table.AddRow({"2^" + std::to_string(log_n), std::to_string(r),
-                  std::to_string((std::uint64_t{1} << 12) * log_n),
+                  std::to_string(envelope.scan_coeff * log_n),
                   std::to_string(s),
-                  std::to_string((std::uint64_t{1} << 22) * log_n)});
+                  std::to_string(envelope.bits_coeff * log_n)});
   }
   table.Print(std::cout);
-  const rstlab::Status dominated = rstlab::check::CheckTheorem11Envelope(
-      cert, /*scan_coeff=*/1 << 12, /*bits_coeff=*/1 << 22,
-      /*n_lo=*/1 << 8, /*n_hi=*/std::size_t{1} << 24);
+  const rstlab::Status dominated =
+      rstlab::check::CheckTheorem11Envelope(cert);
   std::cout << "  dominance 2^8..2^24: "
             << (dominated.ok() && monotone ? "HOLDS" : "VIOLATED");
   if (!dominated.ok()) std::cout << " (" << dominated << ")";

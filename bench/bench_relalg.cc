@@ -83,7 +83,7 @@ EngineRun RunCertified(const StorageOptions& storage,
   ctx.LoadInput(EncodeDatabaseStream(db));
   engine::SharedScanOptions options;
   options.config.sort = rstlab::sorting::kPaperSortConfig;
-  options.admit = true;  // RST018 before the run; RST015 (certify) after
+  options.admit = true;  // RST018 before the run; RST015 after
   auto outcomes = engine::ExecuteSharedScan(
       ctx, {engine::QueryRequest{query, ""}}, options);
   EngineRun run;

@@ -254,7 +254,7 @@ int RunLoad(const rstlab::sorting::RunOptions& run) {
   if (auto written = recorder.Write(); written.ok()) {
     std::cout << "serve timings -> " << written.value() << "\n";
   } else {
-    std::cerr << "warning: " << written.status() << "\n";
+    std::cerr << "serve timings not written: " << written.status() << "\n";
   }
 
   // Graceful-shutdown contract: drain in-flight trials, then exit 0 —

@@ -72,7 +72,7 @@ int Main(int argc, char** argv, const char* name,
     if (auto written = recorder.Write(); written.ok()) {
       std::cout << "trial timings -> " << written.value() << "\n\n";
     } else {
-      std::cerr << "warning: " << written.status() << "\n";
+      std::cerr << "trial timings not written: " << written.status() << "\n";
     }
   }
   obs.Finish(std::cout);

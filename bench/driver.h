@@ -40,8 +40,9 @@ struct Bench {
 ///   2. prints the trial-engine line and runs `tables`, which may
 ///      register timing loops with `benchmark::RegisterBenchmark`;
 ///   3. writes the recorder's rows, if it holds any, with thread count
-///      `recorder_threads` (0: `threads`), and finishes the
-///      observability session;
+///      `recorder_threads` (0: `threads`) to the file RSTLAB_BENCH_JSON
+///      names (with it unset, prints one line saying they were not
+///      written), and finishes the observability session;
 ///   4. returns a nonzero result of `tables` as the exit code, or else
 ///      runs google-benchmark's timing loops.
 int Main(int argc, char** argv, const char* name,

@@ -126,10 +126,8 @@ bool WithinLogScanClass(const QueryCertificate& cert) {
   return cert.scan_bound.Order() <= std::make_pair(0u, 1u);
 }
 
-Status CheckTheorem11Envelope(const QueryCertificate& cert,
-                              std::uint64_t scan_coeff,
-                              std::uint64_t bits_coeff, std::size_t n_lo,
-                              std::size_t n_hi) {
+Status CheckTheorem11Envelope(const QueryCertificate& cert) {
+  const auto [scan_coeff, bits_coeff, n_lo, n_hi] = kTheorem11Envelope;
   const std::optional<std::size_t> scan_witness = FindWitnessN(
       cert.scan_bound,
       [scan_coeff](std::size_t n) { return SatMul(scan_coeff, CeilLog2(n)); },

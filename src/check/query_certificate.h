@@ -92,16 +92,28 @@ Status CheckQueryCostsAgainstCertificate(std::uint64_t scan_bound,
 /// class ST(O(log N), ., O(1)).
 bool WithinLogScanClass(const QueryCertificate& cert);
 
+/// The Theorem 11 envelope a query plan must stay inside: over every
+/// N in [n_lo, n_hi], its certified scan bound at most
+/// scan_coeff * ceil(log2 N) and its certified internal bits at most
+/// bits_coeff * ceil(log2 N).
+struct Theorem11Envelope {
+  std::uint64_t scan_coeff;
+  std::uint64_t bits_coeff;
+  std::size_t n_lo;
+  std::size_t n_hi;
+};
+
+/// The envelope the query engine's admission gate enforces.
+inline constexpr Theorem11Envelope kTheorem11Envelope{
+    std::uint64_t{1} << 12, std::uint64_t{1} << 22, std::size_t{1} << 8,
+    std::size_t{1} << 24};
+
 /// The admission gate run before executing a plan: RST018
-/// (kClassNotDominated) with the smallest power-of-two witness
-/// N in [n_lo, n_hi] at which the certified scan bound escapes the
-/// envelope scan_coeff * ceil(log2 N), or the certified internal bits
-/// escape bits_coeff * ceil(log2 N). Plans that pass are certified to
-/// run inside the Theorem 11 envelope over the whole window.
-Status CheckTheorem11Envelope(const QueryCertificate& cert,
-                              std::uint64_t scan_coeff,
-                              std::uint64_t bits_coeff, std::size_t n_lo,
-                              std::size_t n_hi);
+/// (kClassNotDominated) with the smallest power-of-two witness N at
+/// which the certified scan bound or internal bits escape
+/// `kTheorem11Envelope`. Plans that pass are certified to run inside
+/// the envelope over its whole window.
+Status CheckTheorem11Envelope(const QueryCertificate& cert);
 
 }  // namespace rstlab::check
 

@@ -86,7 +86,8 @@ std::string MutateEncoding(const std::string& encoded, int mutation,
 std::string RenderTally(const BatchTally& tally) {
   std::string out = "sums=[";
   for (std::size_t i = 0; i < tally.sum_first.size(); ++i) {
-    out += (i == 0 ? "" : ",") + std::to_string(tally.sum_first[i]) + "/" +
+    out += std::string(i == 0 ? "" : ",") +
+           std::to_string(tally.sum_first[i]) + "/" +
            std::to_string(tally.sum_second[i]);
   }
   return out + "]";

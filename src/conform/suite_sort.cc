@@ -5,6 +5,8 @@
 // lifecycle: a sort that fails mid-flight must leave no files behind
 // in the tape directory.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -130,11 +132,14 @@ std::string CheckSortCase(const std::vector<std::string>& fields) {
   }
 
   // Per-invocation lane directory: the dir name is not an observable,
-  // it only isolates this check's file counting.
+  // it only isolates this check's file counting. The pid keeps two
+  // processes running the suite at once (ctest -j) out of each other's
+  // directories, which each one removes when done.
   static std::atomic<std::uint64_t> dir_counter{0};
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
-      ("rstlab-conform-sort-" +
+      (std::string("rstlab-conform-sort-") + std::to_string(::getpid()) +
+       "-" +
        std::to_string(dir_counter.fetch_add(1, std::memory_order_relaxed)));
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);

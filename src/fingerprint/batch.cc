@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 
 #include "fingerprint/prime_pool.h"
@@ -493,7 +492,7 @@ Claim1Estimate EstimateClaim1CollisionRateBatched(
       collisions += other.collisions;
     }
   };
-  const std::size_t m_first = instance.first.size();
+  const std::size_t values = instance.first.size() + instance.second.size();
   const CollisionTally tally = runner.RunSeededBatches<CollisionTally>(
       trials, lanes == 0 ? 1 : lanes, seeds,
       [&](std::uint64_t, std::uint64_t count, Rng& rng,
@@ -506,26 +505,13 @@ Claim1Estimate EstimateClaim1CollisionRateBatched(
         }
         const std::vector<std::uint64_t> residues =
             BatchResidues(instance, primes, level);
+        std::vector<std::uint64_t> lane_residues(values);
         for (std::size_t lane = 0; lane < primes.size(); ++lane) {
-          std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-              by_residue;
-          for (std::size_t j = 0; j < instance.second.size(); ++j) {
-            by_residue[residues[(m_first + j) * primes.size() + lane]]
-                .push_back(j);
+          for (std::size_t i = 0; i < values; ++i) {
+            lane_residues[i] = residues[i * primes.size() + lane];
           }
-          bool collided = false;
-          for (std::size_t i = 0; i < m_first && !collided; ++i) {
-            const auto it =
-                by_residue.find(residues[i * primes.size() + lane]);
-            if (it == by_residue.end()) continue;
-            for (const std::size_t j : it->second) {
-              if (instance.second[j] != instance.first[i]) {
-                collided = true;
-                break;
-              }
-            }
-          }
-          local.collisions += collided ? 1 : 0;
+          local.collisions +=
+              HasResidueCollision(instance, lane_residues) ? 1 : 0;
         }
       });
   estimate.trials = trials;

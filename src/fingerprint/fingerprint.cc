@@ -1,9 +1,9 @@
 #include "fingerprint/fingerprint.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "fingerprint/barrett.h"
@@ -83,25 +83,14 @@ std::uint64_t CountAcceptingX(const problems::Instance& instance,
   return accepting;
 }
 
-/// The Claim 1 event for one concrete prime: does some pair
-/// v_i != v'_j collide mod p?
-bool HasResidueCollision(const problems::Instance& instance,
-                         std::uint64_t p) {
-  // residue -> distinct second-list values with that residue
-  std::unordered_map<std::uint64_t,
-                     std::unordered_set<BitString, BitStringHash>>
-      by_residue;
-  for (const BitString& v : instance.second) {
-    by_residue[v.ModUint64(p)].insert(v);
-  }
-  for (const BitString& v : instance.first) {
-    auto it = by_residue.find(v.ModUint64(p));
-    if (it == by_residue.end()) continue;
-    for (const BitString& w : it->second) {
-      if (w != v) return true;
-    }
-  }
-  return false;
+/// The Claim 1 event for one concrete prime p.
+bool HasResidueCollisionMod(const problems::Instance& instance,
+                            std::uint64_t p) {
+  std::vector<std::uint64_t> residues;
+  residues.reserve(instance.first.size() + instance.second.size());
+  for (const BitString& v : instance.first) residues.push_back(v.ModUint64(p));
+  for (const BitString& v : instance.second) residues.push_back(v.ModUint64(p));
+  return HasResidueCollision(instance, residues);
 }
 
 /// Shared setup of the exact enumeration: the Bertrand prime p2 and the
@@ -129,6 +118,37 @@ Result<ExactEnumeration> PrepareExactEnumeration(
 }
 
 }  // namespace
+
+bool HasResidueCollision(const problems::Instance& instance,
+                         const std::vector<std::uint64_t>& residues) {
+  const std::size_t m_first = instance.first.size();
+  const auto value = [&](std::size_t index) -> const BitString& {
+    return index < m_first ? instance.first[index]
+                           : instance.second[index - m_first];
+  };
+  // (residue, index) pairs in ascending order: equal residues form one
+  // run, and within a run the first list's indices come first.
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(residues.size());
+  for (std::size_t i = 0; i < residues.size(); ++i) {
+    keyed[i] = {residues[i], i};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t lo = 0; lo < keyed.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < keyed.size() && keyed[hi].first == keyed[lo].first) ++hi;
+    // A run that holds values of both lists has an unequal pair across
+    // them iff not all of its values are equal: if a first-list v and a
+    // second-list w are equal, any u differing from them pairs with one.
+    if (keyed[lo].second < m_first && keyed[hi - 1].second >= m_first) {
+      const BitString& head = value(keyed[lo].second);
+      for (std::size_t i = lo + 1; i < hi; ++i) {
+        if (value(keyed[i].second) != head) return true;
+      }
+    }
+    lo = hi;
+  }
+  return false;
+}
 
 Result<FingerprintParams> SampleFingerprintParams(std::size_t m,
                                                   std::size_t n,
@@ -349,7 +369,7 @@ double EstimateClaim1CollisionRate(const problems::Instance& instance,
   for (std::size_t t = 0; t < trials; ++t) {
     Result<std::uint64_t> p = pool.Sample(rng);
     if (!p.ok()) continue;
-    if (HasResidueCollision(instance, p.value())) ++collisions;
+    if (HasResidueCollisionMod(instance, p.value())) ++collisions;
   }
   return static_cast<double>(collisions) / static_cast<double>(trials);
 }
@@ -385,7 +405,7 @@ Claim1Estimate EstimateClaim1CollisionRate(
         Result<std::uint64_t> p = pool.Sample(rng);
         if (!p.ok()) return;
         ++local.trials;
-        if (HasResidueCollision(instance, p.value())) ++local.collisions;
+        if (HasResidueCollisionMod(instance, p.value())) ++local.collisions;
       });
   // The rate denominator stays the requested trial count (failed prime
   // draws are impossible in the sieved regime and merely skipped

@@ -2,6 +2,7 @@
 #define RSTLAB_FINGERPRINT_FINGERPRINT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "parallel/trial_runner.h"
 #include "problems/instance.h"
@@ -74,6 +75,13 @@ Result<FingerprintOutcome> TestMultisetEqualityOnTapes(
 /// mod p. Claim 1 bounds the true probability by O(1/m).
 double EstimateClaim1CollisionRate(const problems::Instance& instance,
                                    std::size_t trials, Rng& rng);
+
+/// The Claim 1 event for one prime p: is there a pair v_i != v'_j of a
+/// first-list and a second-list value with v_i = v'_j (mod p)?
+/// `residues` holds every value of `instance` mod p, the first list's
+/// in order and then the second's (the value order of BatchResidues).
+bool HasResidueCollision(const problems::Instance& instance,
+                         const std::vector<std::uint64_t>& residues);
 
 /// Integer tally of the Claim 1 Monte-Carlo estimate, kept exact so
 /// runs at different thread counts can be compared bit for bit.

@@ -31,12 +31,13 @@ class StateNames {
 };
 
 std::string FwdName(unsigned p, char section, unsigned d) {
-  return "F" + std::to_string(p) + section + std::to_string(d);
+  return std::string("F") + std::to_string(p) + section + std::to_string(d);
 }
 
 std::string BackName(unsigned p, bool forward_ok, char section,
                      unsigned e) {
-  return "B" + std::to_string(p) + (forward_ok ? "y" : "n") + section +
+  return std::string("B") + std::to_string(p) + (forward_ok ? "y" : "n") +
+         section +
          std::to_string(e);
 }
 
@@ -145,12 +146,12 @@ MachineSpec Theorem8aBatchFingerprint() {
   b.SetStart(start);
 
   const auto fwd = [&name](char section, unsigned d3, unsigned d5) {
-    return name("F" + std::string(1, section) + std::to_string(d3) + "_" +
+    return name(std::string("F") + section + std::to_string(d3) + "_" +
                 std::to_string(d5));
   };
   const auto back = [&name](bool ok, char section, unsigned e3,
                             unsigned e5) {
-    return name("B" + std::string(1, ok ? 'y' : 'n') + section +
+    return name(std::string("B") + (ok ? 'y' : 'n') + section +
                 std::to_string(e3) + "_" + std::to_string(e5));
   };
 

@@ -79,14 +79,17 @@ void BenchRecorder::Record(const std::string& experiment,
 }
 
 std::string BenchRecorder::OutputPath() {
-  if (const char* env = std::getenv("RSTLAB_BENCH_JSON")) {
-    if (*env != '\0') return env;
-  }
-  return "BENCH_trials.json";
+  const char* env = std::getenv("RSTLAB_BENCH_JSON");
+  return env == nullptr ? std::string() : std::string(env);
 }
 
 Result<std::string> BenchRecorder::Write() const {
   const std::string path = OutputPath();
+  if (path.empty()) {
+    return Status::FailedPrecondition(
+        "RSTLAB_BENCH_JSON is unset or empty; set it to a file path to "
+        "record the rows");
+  }
   // Keep lines from other bench binaries; replace our own. The file is
   // one JSON object per line inside a top-level array, which makes this
   // merge a line filter rather than a JSON parse.

@@ -30,8 +30,9 @@ struct TrialBenchEntry {
 };
 
 /// Accumulates TrialBenchEntry rows for one bench binary and writes them
-/// to the shared `BENCH_trials.json` (path overridable via the
-/// RSTLAB_BENCH_JSON environment variable).
+/// to the file the RSTLAB_BENCH_JSON environment variable names, and to
+/// no file when it is unset or empty (so a bench run from the
+/// repository root never replaces the committed `BENCH_trials.json`).
 ///
 /// The file is a JSON array with one object per line. Write() merges:
 /// entries from *other* bench binaries already in the file are kept,
@@ -60,10 +61,12 @@ class BenchRecorder {
   const std::vector<TrialBenchEntry>& entries() const { return entries_; }
 
   /// Merges this binary's entries into the JSON file and returns the
-  /// path written, or a failure if the file cannot be written.
+  /// path written. Fails with FailedPrecondition, creating no file, when
+  /// RSTLAB_BENCH_JSON is unset or empty, and with Internal when the
+  /// file cannot be written.
   Result<std::string> Write() const;
 
-  /// The output path Write() will use.
+  /// The output path Write() will use: RSTLAB_BENCH_JSON, or empty.
   static std::string OutputPath();
 
  private:

@@ -5,10 +5,11 @@
 
 namespace rstlab::parallel {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t count = std::max<std::size_t>(1, threads);
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(std::max<std::size_t>(1, threads)) {
+  if (threads_ == 1) return;
+  workers_.reserve(threads_);
+  for (std::size_t i = 0; i < threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -24,6 +25,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    RunTask(task);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
@@ -42,6 +47,15 @@ void ThreadPool::Wait() {
   }
 }
 
+void ThreadPool::RunTask(const std::function<void()>& task) {
+  try {
+    task();
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+}
+
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -53,12 +67,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
+    RunTask(task);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;

@@ -20,12 +20,18 @@ namespace rstlab::parallel {
 /// determinism. The pool owns its threads for its whole lifetime; there
 /// is no dynamic resizing.
 ///
+/// A pool of one thread has no parallelism to offer, so it starts no
+/// worker: Submit runs each task on the caller, and a one-thread sort,
+/// scan or trial map costs no thread and no hand-off.
+///
 /// Exceptions thrown by a task are captured (first one wins) and
 /// rethrown from Wait(), so callers see worker failures on their own
-/// thread instead of std::terminate.
+/// thread instead of std::terminate. Tasks submitted after one threw
+/// still run, on either kind of pool.
 class ThreadPool {
  public:
-  /// Starts `threads` workers (at least 1; 0 is clamped to 1).
+  /// A pool of `threads` (0 is clamped to 1). More than one starts that
+  /// many workers; one starts none and runs tasks on the caller.
   explicit ThreadPool(std::size_t threads);
 
   /// Drains outstanding tasks, then joins all workers. Exceptions still
@@ -35,10 +41,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  std::size_t thread_count() const { return workers_.size(); }
+  /// Number of threads tasks run on (the caller's, for a pool of one).
+  std::size_t thread_count() const { return threads_; }
 
-  /// Enqueues `task` for execution on some worker.
+  /// Enqueues `task` for execution on some worker; on a pool of one,
+  /// runs it before returning.
   void Submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished. If any task threw,
@@ -48,7 +55,11 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  /// Runs `task`, capturing its exception as the first error if none is
+  /// pending.
+  void RunTask(const std::function<void()>& task);
 
+  const std::size_t threads_;
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_idle_;

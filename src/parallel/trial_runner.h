@@ -30,9 +30,11 @@ namespace rstlab::parallel {
 /// `void Merge(const Tally&)`.
 class TrialRunner {
  public:
-  /// A runner over `threads` workers (0 is clamped to 1). `chunks_hint`
-  /// caps the number of chunks a range is split into; it only trades
-  /// scheduling granularity for task overhead and never affects results.
+  /// A runner over `threads` workers (0 is clamped to 1; a runner of
+  /// one runs every trial on the caller and starts no thread).
+  /// `chunks_hint` caps the number of chunks a range is split into; it
+  /// only trades scheduling granularity for task overhead and never
+  /// affects results.
   explicit TrialRunner(std::size_t threads, std::size_t chunks_hint = 128)
       : pool_(threads), chunks_hint_(chunks_hint == 0 ? 1 : chunks_hint) {}
 
@@ -127,23 +129,6 @@ class TrialRunner {
   ThreadPool pool_;
   std::size_t chunks_hint_;
   obs::TraceSink* trace_ = nullptr;
-};
-
-/// Installs a trace sink on a runner for one scope and detaches it on
-/// every exit path, a rethrown trial exception included, so a runner
-/// that outlives the sink never emits into it.
-class ScopedTrialTrace {
- public:
-  ScopedTrialTrace(TrialRunner& runner, obs::TraceSink* sink)
-      : runner_(runner) {
-    runner_.set_trace(sink);
-  }
-  ~ScopedTrialTrace() { runner_.set_trace(nullptr); }
-  ScopedTrialTrace(const ScopedTrialTrace&) = delete;
-  ScopedTrialTrace& operator=(const ScopedTrialTrace&) = delete;
-
- private:
-  TrialRunner& runner_;
 };
 
 /// The thread count a bench binary should use, in precedence order:

@@ -344,13 +344,13 @@ std::string DescribePlan(const RelAlgExprPtr& expr) {
     case Op::kRelation:
       return e.relation_name;
     case Op::kUnion:
-      return "(" + child(0) + " + " + child(1) + ")";
+      return std::string("(") + child(0) + " + " + child(1) + ")";
     case Op::kDifference:
-      return "(" + child(0) + " - " + child(1) + ")";
+      return std::string("(") + child(0) + " - " + child(1) + ")";
     case Op::kIntersection:
-      return "(" + child(0) + " & " + child(1) + ")";
+      return std::string("(") + child(0) + " & " + child(1) + ")";
     case Op::kProduct:
-      return "(" + child(0) + " x " + child(1) + ")";
+      return std::string("(") + child(0) + " x " + child(1) + ")";
     case Op::kProjection: {
       std::string cols;
       for (std::size_t i = 0; i < e.columns.size(); ++i) {
@@ -361,7 +361,7 @@ std::string DescribePlan(const RelAlgExprPtr& expr) {
     }
     case Op::kSelection: {
       std::string cond = std::to_string(e.lhs_column);
-      cond += e.rhs_is_column ? "=" + std::to_string(e.rhs_column)
+      cond += e.rhs_is_column ? std::string("=") + std::to_string(e.rhs_column)
                               : "='" + e.rhs_constant + "'";
       return "sel{" + cond + "}(" + child(0) + ")";
     }

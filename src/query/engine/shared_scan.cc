@@ -28,9 +28,7 @@ QueryOutcome RunOne(const QueryRequest& request, const RelationSpool& spool,
   outcome.certificate = check::CertifyQueryPlan(shape);
 
   if (options.admit) {
-    Status admitted = check::CheckTheorem11Envelope(
-        outcome.certificate, options.admit_scan_coeff,
-        options.admit_bits_coeff, options.admit_n_lo, options.admit_n_hi);
+    Status admitted = check::CheckTheorem11Envelope(outcome.certificate);
     if (!admitted.ok()) {
       outcome.status = admitted;
       return outcome;
@@ -74,12 +72,9 @@ QueryOutcome RunOne(const QueryRequest& request, const RelationSpool& spool,
     return outcome;
   }
   outcome.result.Normalize();
-
-  if (options.certify) {
-    outcome.status = check::CheckQueryCostsAgainstCertificate(
-        outcome.cost.scan_bound, outcome.cost.internal_bits,
-        outcome.certificate, input_size);
-  }
+  outcome.status = check::CheckQueryCostsAgainstCertificate(
+      outcome.cost.scan_bound, outcome.cost.internal_bits,
+      outcome.certificate, input_size);
   return outcome;
 }
 
@@ -94,9 +89,8 @@ void PublishMetrics(obs::MetricsRegistry& metrics,
       ++failed;
       continue;
     }
-    const std::string label =
-        queries[i].label.empty() ? "q" + std::to_string(i)
-                                 : queries[i].label;
+    std::string label = queries[i].label;
+    if (label.empty()) label.append("q").append(std::to_string(i));
     metrics.SetGauge("query." + label + ".scan_bound",
                      static_cast<double>(outcome.cost.scan_bound));
     metrics.SetGauge("query." + label + ".internal_bits",
@@ -126,25 +120,18 @@ Result<std::vector<QueryOutcome>> ExecuteSharedScan(
   const std::unique_ptr<RelationSpool> spool = std::move(spooled).value();
 
   // Phase B: every query pulls from the sealed lanes; workers only
-  // decide scheduling, never results or bills.
+  // decide scheduling, never results or bills. A one-thread pool runs
+  // the queries on this thread, in order.
   std::vector<QueryOutcome> outcomes(queries.size());
   const std::size_t input_size = ctx.input_size();
   const extmem::StorageOptions& storage = ctx.storage_options();
-  if (options.config.threads > 1 && queries.size() > 1) {
-    parallel::ThreadPool pool(options.config.threads);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      pool.Submit([&, i] {
-        outcomes[i] =
-            RunOne(queries[i], *spool, input_size, storage, options);
-      });
-    }
-    pool.Wait();
-  } else {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      outcomes[i] =
-          RunOne(queries[i], *spool, input_size, storage, options);
-    }
+  parallel::ThreadPool pool(std::min(options.config.threads, queries.size()));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    pool.Submit([&, i] {
+      outcomes[i] = RunOne(queries[i], *spool, input_size, storage, options);
+    });
   }
+  pool.Wait();
 
   if (options.config.metrics != nullptr) {
     PublishMetrics(*options.config.metrics, queries, outcomes);

@@ -1,8 +1,6 @@
 #ifndef RSTLAB_QUERY_ENGINE_SHARED_SCAN_H_
 #define RSTLAB_QUERY_ENGINE_SHARED_SCAN_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,27 +47,21 @@ struct SharedScanOptions {
   /// Upgrade every certificate with the promise that join build keys
   /// are unique (see check::QueryPlanShape::joins_unique_keys).
   bool unique_join_keys = false;
-  /// Post-execution RST015 check of the measured bill against the
-  /// certificate.
-  bool certify = true;
   /// Pre-execution RST018 admission gate: reject plans whose certified
-  /// bounds escape the Theorem 11 envelope coeff * ceil(log2 N) over
-  /// [admit_n_lo, admit_n_hi] before running them.
+  /// bounds escape `check::kTheorem11Envelope` before running them.
   bool admit = false;
-  std::uint64_t admit_scan_coeff = 1 << 12;
-  std::uint64_t admit_bits_coeff = 1 << 22;
-  std::size_t admit_n_lo = 1 << 8;
-  std::size_t admit_n_hi = 1 << 24;
 };
 
 /// Evaluates every registered query against the input on tape 0 of
 /// `ctx` with ONE pass over the input: the pass demultiplexes the
 /// stream into per-relation spool lanes (billed on `ctx`), then all
-/// queries run over the immutable lanes — on `config.threads` workers —
-/// each with its own pipeline, scratch lanes and deterministic
-/// CostMeter. Results, bills and certificates are bit-identical across
-/// thread counts, storage backends and co-registered queries; the
-/// conform suite pins exactly that.
+/// queries run over the immutable lanes — on `config.threads` workers,
+/// or on the calling thread when that is one — each with its own
+/// pipeline, scratch lanes and deterministic CostMeter. Every query's
+/// measured bill is then checked against its certificate (RST015).
+/// Results, bills and certificates are bit-identical across thread
+/// counts, storage backends and co-registered queries; the conform
+/// suite pins exactly that.
 ///
 /// Fails as a whole only when the input itself is malformed (spool
 /// build failure); per-query failures land in the outcome's status.

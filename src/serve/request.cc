@@ -147,7 +147,7 @@ Result<ExperimentRequest> ParseExperimentRequest(
     }
     // Admission ceiling (analogous to max_trials): the generated
     // instance occupies ~2*m*(n+1) encoded cells and is materialized
-    // inside a scheduler worker, so an unchecked size lets one request
+    // when the experiment runs, so an unchecked size lets one request
     // OOM the daemon. Ordered so 2*m*(n+1) is never computed directly
     // — the division form cannot overflow.
     if (spec.n >= max_generator_cells ||

@@ -1,16 +1,18 @@
 #include "serve/scheduler.h"
 
+#include <algorithm>
+
 namespace rstlab::serve {
 
 FairScheduler::FairScheduler(const Options& options)
-    : pool_(options.threads),
+    : slots_(std::max<std::size_t>(1, options.threads)),
       max_inflight_(options.max_inflight == 0 ? 1 : options.max_inflight) {}
 
 FairScheduler::~FairScheduler() { Drain(); }
 
-Status FairScheduler::Submit(const std::string& tenant,
-                             std::function<void()> job) {
-  std::lock_guard<std::mutex> lock(mutex_);
+Status FairScheduler::Run(const std::string& tenant,
+                          const std::function<void()>& job) {
+  std::unique_lock<std::mutex> lock(mutex_);
   if (draining_) {
     return Status::FailedPrecondition("scheduler is draining");
   }
@@ -31,10 +33,20 @@ Status FairScheduler::Submit(const std::string& tenant,
                       TenantQueue{tenant, {}});
     if (cursor_ == ring_.end()) cursor_ = it;
   }
-  it->jobs.push_back(std::move(job));
+  Ticket ticket;
+  it->jobs.push_back(&ticket);
   ++queued_;
   ++stats_.admitted;
-  if (running_ < pool_.thread_count()) DispatchLocked();
+  if (running_ < slots_) DispatchLocked();
+  ticket.granted_cv.wait(lock, [&ticket] { return ticket.granted; });
+  lock.unlock();
+
+  // The slot is held from here on; the guard returns it on every exit.
+  struct SlotGuard {
+    FairScheduler* scheduler;
+    ~SlotGuard() { scheduler->Release(); }
+  } guard{this};
+  job();
   return Status::OK();
 }
 
@@ -52,7 +64,7 @@ void FairScheduler::DispatchLocked() {
       return;
     }
   }
-  std::function<void()> job = std::move(cursor_->jobs.front());
+  Ticket* ticket = cursor_->jobs.front();
   cursor_->jobs.pop_front();
   --queued_;
   ++running_;
@@ -67,21 +79,16 @@ void FairScheduler::DispatchLocked() {
   if (cursor_ == ring_.end() && !ring_.empty()) cursor_ = ring_.begin();
   if (ring_.empty()) cursor_ = ring_.end();
 
-  pool_.Submit([this, job = std::move(job)]() mutable {
-    // A throwing job must not leak its running slot: without the catch
-    // the pool's worker swallows the exception before the accounting
-    // below runs, `running_` never decrements, and Drain() deadlocks
-    // while the admission bound ratchets shut.
-    try {
-      job();
-    } catch (...) {
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    --running_;
-    ++stats_.completed;
-    if (running_ < pool_.thread_count()) DispatchLocked();
-    if (queued_ == 0 && running_ == 0) drained_.notify_all();
-  });
+  ticket->granted = true;
+  ticket->granted_cv.notify_one();
+}
+
+void FairScheduler::Release() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  --running_;
+  ++stats_.completed;
+  if (running_ < slots_) DispatchLocked();
+  if (queued_ == 0 && running_ == 0) drained_.notify_all();
 }
 
 void FairScheduler::Drain() {

@@ -9,39 +9,34 @@
 #include <list>
 #include <mutex>
 #include <string>
-#include <utility>
 
-#include "parallel/thread_pool.h"
 #include "util/status.h"
 
 namespace rstlab::serve {
 
-/// Fair per-tenant FIFO scheduling with bounded admission over the
-/// shared `parallel::ThreadPool`.
+/// Fair per-tenant FIFO scheduling with bounded admission. The
+/// scheduler owns no threads: each caller runs its own job on its own
+/// thread once it holds one of `threads` slots.
 ///
 /// Each tenant owns one FIFO; a round-robin cursor walks the non-empty
 /// tenant queues, so a tenant flooding the service delays only its own
 /// requests — the next request of every other tenant is at most
 /// (#tenants * running slots) dispatches away, never behind the
-/// flooder's backlog.
+/// flooder's backlog. A freed slot goes straight to the next queued
+/// caller, so a new caller never overtakes one already queued.
 ///
 /// Admission is bounded: at most `max_inflight` jobs may be queued or
-/// running at once. A Submit beyond the bound fails with
+/// running at once. A Run beyond the bound fails at once with
 /// ResourceExhausted (the server maps it to HTTP 429) rather than
 /// queueing unboundedly — under overload the caller sheds load at the
-/// edge instead of accumulating latency. A Submit after Drain() began
+/// edge instead of accumulating latency. A Run after Drain() began
 /// fails with FailedPrecondition (HTTP 503).
-///
-/// The pool is not given every admitted job at once: jobs sit in their
-/// tenant queue and are handed to the pool only when a worker slot
-/// frees, because the pool's own queue is plain FIFO and would destroy
-/// the fairness ordering.
 class FairScheduler {
  public:
   struct Options {
-    /// Worker threads executing jobs (0 clamps to 1).
+    /// Jobs that may run at once (0 clamps to 1).
     std::size_t threads = 4;
-    /// Maximum queued + running jobs before Submit rejects.
+    /// Maximum queued + running jobs before Run rejects.
     std::size_t max_inflight = 256;
   };
 
@@ -54,19 +49,19 @@ class FairScheduler {
 
   explicit FairScheduler(const Options& options);
 
-  /// Drains and joins. Equivalent to Drain() if not already drained.
+  /// Drains. Equivalent to Drain() if not already drained.
   ~FairScheduler();
 
   FairScheduler(const FairScheduler&) = delete;
   FairScheduler& operator=(const FairScheduler&) = delete;
 
-  std::size_t threads() const { return pool_.thread_count(); }
-
-  /// Enqueues `job` for `tenant`. Fails with ResourceExhausted at the
-  /// admission bound and FailedPrecondition once draining. A job that
-  /// throws still releases its slot (the exception is swallowed);
-  /// callers that care about the error must catch it inside the job.
-  Status Submit(const std::string& tenant, std::function<void()> job);
+  /// Runs `job` for `tenant` on the calling thread once the round-robin
+  /// grants it a slot, and returns OK after it finished. Fails at once,
+  /// without running `job`, with ResourceExhausted at the admission
+  /// bound and FailedPrecondition once draining. The slot is released
+  /// on every exit path; an exception from `job` propagates to the
+  /// caller after the release.
+  Status Run(const std::string& tenant, const std::function<void()>& job);
 
   /// Stops admitting and blocks until every admitted job has finished.
   /// Idempotent.
@@ -75,16 +70,24 @@ class FairScheduler {
   Stats stats() const;
 
  private:
-  /// Picks the next job round-robin and hands it to the pool; must be
+  /// Grants a free slot to the next queued caller round-robin; must be
   /// called with `mutex_` held.
   void DispatchLocked();
+  /// Returns a finished job's slot and dispatches it on.
+  void Release();
+
+  /// One caller queued in its tenant's FIFO; lives on its stack.
+  struct Ticket {
+    std::condition_variable granted_cv;
+    bool granted = false;
+  };
 
   struct TenantQueue {
     std::string tenant;
-    std::deque<std::function<void()>> jobs;
+    std::deque<Ticket*> jobs;
   };
 
-  parallel::ThreadPool pool_;
+  const std::size_t slots_;
   const std::size_t max_inflight_;
 
   mutable std::mutex mutex_;

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -257,36 +256,23 @@ bool HttpServer::HandleExperiment(int fd, const HttpRequest& request) {
     return WriteErrorResponse(fd, budget_check);
   }
 
-  // The scheduler worker runs the experiment and writes every response
-  // byte itself; this connection thread blocks until then, so exactly
-  // one thread touches the socket at a time.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
+  // The experiment runs on this connection thread once the scheduler
+  // grants it a slot, and this thread writes every response byte.
   bool write_ok = false;
-  const Status admitted = scheduler_.Submit(experiment.tenant, [&] {
-    // The done-notification below must run on EVERY exit path: the
-    // connection thread is blocked on done_cv until it does, and the
-    // captured locals die with that thread's stack frame.
-    bool ok = false;
-    try {
-      ok = RunExperimentJob(fd, experiment);
-    } catch (...) {
-      ok = false;  // response may be half-written; drop the connection
-    }
-    std::lock_guard<std::mutex> lock(done_mutex);
-    done = true;
-    write_ok = ok;
-    done_cv.notify_all();
-  });
+  Status admitted = Status::OK();
+  try {
+    admitted = scheduler_.Run(experiment.tenant, [&] {
+      write_ok = RunExperimentJob(fd, experiment);
+    });
+  } catch (...) {
+    write_ok = false;  // response may be half-written; drop the connection
+  }
   if (!admitted.ok()) {
     metrics_.Add(admitted.code() == StatusCode::kResourceExhausted
                      ? "serve.experiment.rejected"
                      : "serve.experiment.draining");
     return WriteErrorResponse(fd, admitted);
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
   metrics_.Add("serve.experiment.completed");
   return write_ok;
 }

@@ -28,7 +28,8 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// via port() — tests and the conform suite rely on this).
   std::uint16_t port = 0;
-  /// Scheduler worker threads executing experiments.
+  /// Experiments that may run at once, each on the connection thread
+  /// that parsed it.
   std::size_t threads = 4;
   /// Admission bound: queued + running experiments before 429.
   std::size_t max_inflight = 256;
@@ -40,7 +41,7 @@ struct ServerOptions {
   std::uint64_t max_trials = std::uint64_t{1} << 20;
   /// Generator admission ceiling: a generated instance may occupy at
   /// most this many encoded cells (~ 2*m*(n+1)), rejected at parse
-  /// time so no worker allocates for an oversized request.
+  /// time so no experiment allocates for an oversized request.
   std::uint64_t max_generator_cells = std::uint64_t{1} << 24;
   /// HTTP head/body size limits.
   HttpLimits limits;
@@ -50,8 +51,9 @@ struct ServerOptions {
 };
 
 /// The experiment daemon: minimal HTTP/1.1 over loopback, one accept
-/// thread plus one thread per live connection, experiments multiplexed
-/// onto the FairScheduler.
+/// thread plus one thread per live connection. Each experiment runs on
+/// the connection thread that parsed it, once the FairScheduler grants
+/// that thread a slot.
 ///
 /// Endpoints:
 ///   GET  /healthz        -> {"status":"ok",...}
@@ -65,8 +67,9 @@ struct ServerOptions {
 ///
 /// Connections are keep-alive and pipelining-safe: each request is
 /// fully consumed (by byte count) before the next is parsed from the
-/// same buffer. All response bytes for a request are written by the
-/// thread that executes it, so frames never interleave.
+/// same buffer. All response bytes for a request are written by its
+/// connection thread, which also executes it, so frames never
+/// interleave.
 class HttpServer {
  public:
   explicit HttpServer(const ServerOptions& options);
@@ -103,13 +106,12 @@ class HttpServer {
   /// connection must close (parse error or short write).
   bool HandleParsed(int fd, const HttpRequest& request);
   bool HandleExperiment(int fd, const HttpRequest& request);
-  /// Runs the experiment on a scheduler worker and writes the whole
-  /// response (streamed or buffered); returns false when the
-  /// connection must close.
+  /// Runs the experiment and writes the whole response (streamed or
+  /// buffered); returns false when the connection must close.
   bool RunExperimentJob(int fd, const ExperimentRequest& request);
   /// service_.Execute with any escaping exception mapped to an
   /// Internal status (HTTP 500) instead of unwinding into the
-  /// scheduler worker.
+  /// connection thread.
   Result<ExperimentResult> ExecuteGuarded(const ExperimentRequest& request,
                                           NdjsonTraceSink* sink = nullptr);
 

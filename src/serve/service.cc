@@ -251,15 +251,14 @@ Result<ExperimentResult> ExperimentService::Execute(
     return result;
   }
 
-  // --- claim1: the parallel-engine estimator on a 1-thread runner
-  // (the scheduler provides cross-request parallelism; within one
-  // request the 1-thread tally equals the N-thread tally by the
-  // TrialRunner contract anyway), over the cached (m, n) prime pool. ---
+  // --- claim1: the parallel-engine estimator on a 1-thread runner,
+  // which runs every trial on this thread (the scheduler provides
+  // cross-request parallelism; within one request the 1-thread tally
+  // equals the N-thread tally by the TrialRunner contract anyway), over
+  // the cached (m, n) prime pool. ---
   if (request.problem == "claim1") {
-    thread_local parallel::TrialRunner runner(1);
-    // Detached on every exit: the runner outlives this request's sink.
-    const parallel::ScopedTrialTrace trace(
-        runner, request.stream ? events : nullptr);
+    parallel::TrialRunner runner(1);
+    if (request.stream) runner.set_trace(events);
     const auto trials = static_cast<std::size_t>(request.trials);
     Result<std::shared_ptr<const FingerprintSetup>> setup =
         GetFingerprintSetup(cache_, *instance);

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
-#include <functional>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -469,48 +469,18 @@ void MergeSliceTask(const SliceTask& task, std::size_t chunk_cells,
   *task.out = writer.Finish();
 }
 
-/// Runs tasks inline (threads == 1) or on a worker pool, converting
-/// worker exceptions into Status at the wait points.
-class TaskRunner {
- public:
-  explicit TaskRunner(std::size_t threads) {
-    if (threads > 1) pool_ = std::make_unique<parallel::ThreadPool>(threads);
+/// Waits for every task submitted to `pool`, turning a task's exception
+/// into a Status.
+Status WaitForTasks(parallel::ThreadPool& pool) {
+  try {
+    pool.Wait();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("parallel sort worker: ") + e.what());
+  } catch (...) {
+    return Status::Internal("parallel sort worker: unknown error");
   }
-
-  void Submit(std::function<void()> task) {
-    if (pool_ != nullptr) {
-      pool_->Submit(std::move(task));
-      return;
-    }
-    if (!inline_error_.ok()) return;
-    inline_error_ = Guarded(task);
-  }
-
-  Status Wait() {
-    if (pool_ == nullptr) {
-      Status status = inline_error_;
-      inline_error_ = Status::OK();
-      return status;
-    }
-    return Guarded([this]() { pool_->Wait(); });
-  }
-
- private:
-  static Status Guarded(const std::function<void()>& f) {
-    try {
-      f();
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("parallel sort worker: ") +
-                              e.what());
-    } catch (...) {
-      return Status::Internal("parallel sort worker: unknown error");
-    }
-    return Status::OK();
-  }
-
-  std::unique_ptr<parallel::ThreadPool> pool_;
-  Status inline_error_;
-};
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -618,14 +588,15 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
   (void)counters;
 
   PrefetchCounters prefetch;
-  TaskRunner runner(threads);
+  parallel::ThreadPool pool(threads);
 
   // Phase 1: run formation. The calling thread streams the source tape
   // forward in bulk chunks, staging run_length fields per buffer;
-  // workers sort each buffer in internal memory and spill it as one
-  // sorted run. Buffers in flight are bounded for memory, not billed
-  // as s (host buffer-pool memory, like the block cache — the model
-  // machine's formation buffer is billed above).
+  // workers (the calling thread itself at one thread) sort each buffer
+  // in internal memory and spill it as one sorted run. Buffers in
+  // flight are bounded for memory, not billed as s (host buffer-pool
+  // memory, like the block cache — the model machine's formation
+  // buffer is billed above).
   std::vector<Run> runs(num_runs);
   {
     auto formation_bits =
@@ -639,7 +610,7 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
 
     auto dispatch = [&](std::unique_ptr<RunBuffer> full) -> Status {
       if (in_flight.size() >= batch) {
-        RSTLAB_RETURN_IF_ERROR(runner.Wait());
+        RSTLAB_RETURN_IF_ERROR(WaitForTasks(pool));
         in_flight.clear();
       }
       RunBuffer* raw = full.get();
@@ -650,7 +621,7 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
       Run* out = &runs[run_id];
       SpillLane* lane = lanes_ping[run_id % lanes_ping.size()].get();
       ++run_id;
-      runner.Submit(
+      pool.Submit(
           [raw, lane, chunk, out]() { SortRunTask(*raw, lane, chunk, out); });
       return Status::OK();
     };
@@ -696,7 +667,7 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
     if (worker_status.ok() && !buffer->fields.empty()) {
       worker_status = dispatch(std::move(buffer));
     }
-    if (worker_status.ok()) worker_status = runner.Wait();
+    if (worker_status.ok()) worker_status = WaitForTasks(pool);
     if (!worker_status.ok()) return worker_status;
     if (run_id != num_runs) {
       return Status::Internal("parallel sort: run count drifted");
@@ -792,12 +763,12 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
       }
 
       for (const SliceTask& task : tasks) {
-        runner.Submit(
+        pool.Submit(
             [&task, chunk, &prefetch]() {
               MergeSliceTask(task, chunk, &prefetch);
             });
       }
-      RSTLAB_RETURN_IF_ERROR(runner.Wait());
+      RSTLAB_RETURN_IF_ERROR(WaitForTasks(pool));
 
       std::vector<Run> next;
       next.reserve(groups);

@@ -614,6 +614,24 @@ TEST(Claim1Test, CollisionRateSmall) {
   EXPECT_LE(rate, 0.25);
 }
 
+TEST(Claim1Test, ResidueCollisionNeedsUnequalValuesAcrossTheLists) {
+  problems::Instance inst;
+  inst.first = {BitString::FromString("101"), BitString::FromString("11")};
+  inst.second = {BitString::FromString("101"), BitString::FromString("1")};
+  // Residues of first[0], first[1], second[0], second[1] under some p.
+  // Equal values with equal residues are not a collision.
+  EXPECT_FALSE(HasResidueCollision(inst, {4, 7, 4, 9}));
+  // Unequal values with equal residues are: 11 and 1.
+  EXPECT_TRUE(HasResidueCollision(inst, {4, 7, 4, 7}));
+  // So is an unequal value beside an equal pair: 11 and 101.
+  EXPECT_TRUE(HasResidueCollision(inst, {4, 4, 4, 9}));
+  // Equal residues inside one list only are not.
+  EXPECT_FALSE(HasResidueCollision(inst, {4, 4, 5, 6}));
+  EXPECT_FALSE(HasResidueCollision(inst, {4, 7, 5, 5}));
+  // No shared residue at all.
+  EXPECT_FALSE(HasResidueCollision(inst, {1, 2, 3, 4}));
+}
+
 TEST(Claim1Test, ZeroTrialsIsZero) {
   Rng rng(29);
   problems::Instance inst = problems::EqualMultisets(4, 8, rng);

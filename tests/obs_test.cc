@@ -4,7 +4,6 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -208,31 +207,6 @@ TEST(TraceTest, TrialRunnerEmitsOneBeginEndPairPerTrial) {
     EXPECT_LT(trial, 10u);
     EXPECT_EQ(count, 2);
   }
-}
-
-TEST(TraceTest, ScopedTrialTraceDetachesWhenATrialThrows) {
-  RingSink ring(1024);
-  parallel::TrialRunner runner(2);
-  struct CountTally {
-    std::uint64_t count = 0;
-    void Merge(const CountTally& o) { count += o.count; }
-  };
-  EXPECT_THROW(
-      {
-        const parallel::ScopedTrialTrace scoped(runner, &ring);
-        runner.Run<CountTally>(8, [](std::uint64_t t, CountTally&) {
-          if (t == 3) throw std::runtime_error("trial failed");
-        });
-      },
-      std::runtime_error);
-  const std::uint64_t emitted = ring.total();
-  EXPECT_GT(emitted, 0u);
-
-  // The runner keeps serving, and emits nothing into the old sink.
-  const CountTally tally = runner.Run<CountTally>(
-      4, [](std::uint64_t, CountTally& local) { ++local.count; });
-  EXPECT_EQ(tally.count, 4u);
-  EXPECT_EQ(ring.total(), emitted);
 }
 
 // ---------------------------------------------------------------------

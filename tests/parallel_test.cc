@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/bench_recorder.h"
@@ -148,9 +149,27 @@ TEST(ThreadPoolTest, WaitRethrowsFirstTaskException) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPoolTest, ZeroThreadRequestClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
+TEST(ThreadPoolTest, OneThreadPoolRunsTasksOnTheCaller) {
+  for (const std::size_t threads : {0u, 1u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    std::vector<int> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.Submit([&] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(1);
+    });
+    // Each task has run by the time Submit returns.
+    EXPECT_EQ(order, std::vector<int>{1});
+    pool.Submit([] { throw std::logic_error("first"); });
+    pool.Submit([] { throw std::runtime_error("second"); });
+    pool.Submit([&] { order.push_back(4); });
+    // Later tasks still ran; Wait() rethrows the first error, once.
+    EXPECT_EQ(order, (std::vector<int>{1, 4}));
+    EXPECT_THROW(pool.Wait(), std::logic_error);
+    pool.Wait();
+    EXPECT_EQ(pool.thread_count(), 1u);  // 0 clamps to 1
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -277,6 +296,28 @@ TEST_F(BenchRecorderFileTest, WriteIsAtomicNoTempFileSurvives) {
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[1],
             FormatTrialBenchEntry(recorder.entries()[0]));
+}
+
+TEST_F(BenchRecorderFileTest, WritesNoFileWithoutTheVariable) {
+  const bool default_existed = std::ifstream("BENCH_trials.json").good();
+  for (const bool set_empty : {false, true}) {
+    if (set_empty) {
+      ::setenv("RSTLAB_BENCH_JSON", "", 1);
+    } else {
+      ::unsetenv("RSTLAB_BENCH_JSON");
+    }
+    BenchRecorder recorder("bench_epsilon", 1);
+    recorder.Record("E1", 1, 0.001, 666);
+    const Result<std::string> written = recorder.Write();
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(written.status().message().find("RSTLAB_BENCH_JSON"),
+              std::string::npos);
+  }
+  // Neither the fixture's path nor the old working-directory default
+  // was created.
+  EXPECT_FALSE(std::ifstream(path_).good());
+  EXPECT_EQ(std::ifstream("BENCH_trials.json").good(), default_existed);
 }
 
 TEST_F(BenchRecorderFileTest, WriteFailsCleanlyOnUnwritableDirectory) {

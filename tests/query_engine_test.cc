@@ -153,7 +153,7 @@ TEST(QueryEngineProperty, SymmetricDifferenceSweepStaysCertified) {
                     MemOptions(), 1, options);
       ASSERT_TRUE(run.ok());
       const QueryOutcome& outcome = run.value()[0];
-      // certify=true by default: a bill outside the plan certificate
+      // Every run is post-checked: a bill outside the plan certificate
       // would have surfaced as RST015 in the status.
       ASSERT_TRUE(outcome.status.ok()) << outcome.status.message();
       EXPECT_EQ(outcome.result.tuples.size(),

@@ -296,8 +296,8 @@ TEST(RequestTest, TrialCountBeyondLimitIsRejected) {
 
 TEST(RequestTest, GeneratorBeyondCellLimitIsRejected) {
   // An unchecked generator size would let one request allocate ~m
-  // values inside a scheduler worker; the ceiling rejects it at parse
-  // time. 2*m*(n+1) cells: m=16, n=12 needs 416.
+  // values when it runs; the ceiling rejects it at parse time.
+  // 2*m*(n+1) cells: m=16, n=12 needs 416.
   const auto body = [](std::uint64_t m, std::uint64_t n) {
     return R"({"request_id":"r","problem":"fingerprint",
                "generator":{"kind":"equal","m":)" +
@@ -517,6 +517,12 @@ class Gate {
   bool open_ = false;
 };
 
+/// Polls until `n` jobs are queued or running, so a test orders its
+/// concurrent callers without guessing at delays.
+void AwaitInflight(const FairScheduler& scheduler, std::size_t n) {
+  while (scheduler.stats().inflight != n) std::this_thread::yield();
+}
+
 TEST(FairSchedulerTest, RejectsBeyondAdmissionBound) {
   FairScheduler::Options options;
   options.threads = 1;
@@ -529,24 +535,32 @@ TEST(FairSchedulerTest, RejectsBeyondAdmissionBound) {
     gate.Wait();
     ran.fetch_add(1);
   };
-  ASSERT_TRUE(scheduler.Submit("alice", job).ok());
-  ASSERT_TRUE(scheduler.Submit("alice", job).ok());
+  // The first caller runs (held at the gate); the second waits for the
+  // slot. Both count against the bound.
+  Status statuses[2];
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] { statuses[i] = scheduler.Run("alice", job); });
+    AwaitInflight(scheduler, i + 1);
+  }
 
-  const Status rejected = scheduler.Submit("alice", job);
-  ASSERT_FALSE(rejected.ok());
+  const Status rejected = scheduler.Run("alice", job);
   EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(scheduler.stats().rejected, 1u);
   EXPECT_EQ(scheduler.stats().inflight, 2u);
 
   gate.Open();
-  scheduler.Drain();
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0];
+  EXPECT_TRUE(statuses[1].ok()) << statuses[1];
   EXPECT_EQ(ran.load(), 2);
   EXPECT_EQ(scheduler.stats().completed, 2u);
   EXPECT_EQ(scheduler.stats().inflight, 0u);
 
-  const Status draining = scheduler.Submit("alice", [] {});
-  ASSERT_FALSE(draining.ok());
+  scheduler.Drain();
+  const Status draining = scheduler.Run("alice", job);
   EXPECT_EQ(draining.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(FairSchedulerTest, ThrowingJobReleasesItsSlot) {
@@ -555,23 +569,19 @@ TEST(FairSchedulerTest, ThrowingJobReleasesItsSlot) {
   options.max_inflight = 1;
   FairScheduler scheduler(options);
 
-  // With max_inflight=1 a leaked slot would make every later Submit a
-  // 429 and Drain() a deadlock.
-  ASSERT_TRUE(scheduler
-                  .Submit("alice",
-                          [] { throw std::runtime_error("boom"); })
-                  .ok());
-  for (int i = 0; i < 400 && scheduler.stats().completed == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // With max_inflight=1 a leaked slot would make every later Run a 429
+  // and Drain() a deadlock.
+  EXPECT_THROW(
+      scheduler.Run("alice", [] { throw std::runtime_error("boom"); }),
+      std::runtime_error);
   EXPECT_EQ(scheduler.stats().completed, 1u);
   EXPECT_EQ(scheduler.stats().inflight, 0u);
 
-  std::atomic<bool> ran{false};
-  ASSERT_TRUE(scheduler.Submit("alice", [&] { ran = true; }).ok());
-  scheduler.Drain();
-  EXPECT_TRUE(ran.load());
+  bool ran = false;
+  EXPECT_TRUE(scheduler.Run("alice", [&] { ran = true; }).ok());
+  EXPECT_TRUE(ran);
   EXPECT_EQ(scheduler.stats().completed, 2u);
+  scheduler.Drain();
 }
 
 TEST(FairSchedulerTest, FloodingTenantDoesNotStarveOthers) {
@@ -583,26 +593,27 @@ TEST(FairSchedulerTest, FloodingTenantDoesNotStarveOthers) {
   Gate gate;
   std::mutex order_mutex;
   std::vector<std::string> order;
-  const auto tagged = [&](const std::string& tag, bool blocking) {
-    return [&, tag, blocking] {
-      if (blocking) gate.Wait();
-      std::lock_guard<std::mutex> lock(order_mutex);
-      order.push_back(tag);
-    };
+  std::vector<std::thread> callers;
+  // Each caller is admitted before the next one starts, so while f0
+  // holds the single slot the tenant queues fill in call order.
+  const auto call = [&](const std::string& tenant, const std::string& tag,
+                        bool blocking) {
+    callers.emplace_back([&, tenant, tag, blocking] {
+      const Status status = scheduler.Run(tenant, [&] {
+        if (blocking) gate.Wait();
+        std::lock_guard<std::mutex> lock(order_mutex);
+        order.push_back(tag);
+      });
+      EXPECT_TRUE(status.ok()) << status;
+    });
+    AwaitInflight(scheduler, callers.size());
   };
-
-  // The first job occupies the single worker; everything submitted
-  // while it blocks lands in tenant queues in submission order.
-  ASSERT_TRUE(scheduler.Submit("flooder", tagged("f0", true)).ok());
-  for (int i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(
-        scheduler
-            .Submit("flooder", tagged("f" + std::to_string(i), false))
-            .ok());
-  }
-  ASSERT_TRUE(scheduler.Submit("bob", tagged("b0", false)).ok());
+  call("flooder", "f0", true);
+  for (const char* tag : {"f1", "f2", "f3", "f4"}) call("flooder", tag, false);
+  call("bob", "b0", false);
 
   gate.Open();
+  for (std::thread& caller : callers) caller.join();
   scheduler.Drain();
 
   ASSERT_EQ(order.size(), 6u);
@@ -613,9 +624,43 @@ TEST(FairSchedulerTest, FloodingTenantDoesNotStarveOthers) {
     return order.size();
   };
   // Fairness: bob's single request must not sit behind the flooder's
-  // whole backlog — at most one flooder job runs between dispatches.
+  // whole backlog — at most one flooder job runs between grants.
   EXPECT_LT(position("b0"), position("f4"))
       << "tenant bob starved behind the flooder's backlog";
+}
+
+TEST(FairSchedulerTest, RunsTheJobOnTheCallingThread) {
+  FairScheduler::Options options;
+  options.threads = 1;
+  FairScheduler scheduler(options);
+
+  std::thread::id ran_on;
+  EXPECT_TRUE(
+      scheduler.Run("alice", [&] { ran_on = std::this_thread::get_id(); })
+          .ok());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // A caller that waited for its slot runs on its own thread too, not on
+  // the thread whose finished job granted it the slot.
+  Gate gate;
+  std::thread holder([&] {
+    EXPECT_TRUE(scheduler.Run("alice", [&] { gate.Wait(); }).ok());
+  });
+  AwaitInflight(scheduler, 1);
+  std::thread::id waiter_id;
+  std::thread::id waiter_ran_on;
+  std::thread waiter([&] {
+    waiter_id = std::this_thread::get_id();
+    EXPECT_TRUE(scheduler
+                    .Run("bob",
+                         [&] { waiter_ran_on = std::this_thread::get_id(); })
+                    .ok());
+  });
+  AwaitInflight(scheduler, 2);
+  gate.Open();
+  holder.join();
+  waiter.join();
+  EXPECT_EQ(waiter_ran_on, waiter_id);
 }
 
 // ---------------------------------------------------------------------
@@ -811,14 +856,15 @@ TEST(FingerprintServiceTest, BatchedMatchesScalarBeyondThe32BitKernel) {
   ExpectBatchedMatchesScalar(64, 120, 73);
 }
 
-TEST(FingerprintServiceTest, StreamedFramesFollowTrialOrder) {
+/// A streamed `problem` request emits trial_begin/trial_end for every
+/// trial in trial order, then the result the unstreamed request gives.
+void ExpectStreamedFramesFollowTrialOrder(const std::string& problem) {
   ArtifactCache cache(16);
   ExperimentService service(cache);
   Rng rng(74);
   const problems::Instance instance = problems::EqualMultisets(24, 12, rng);
   const std::uint64_t trials = kFingerprintLaneGroup + 1;
-  ExperimentRequest request =
-      InlineRequest("fingerprint", instance, trials, 75);
+  ExperimentRequest request = InlineRequest(problem, instance, trials, 75);
   const Result<ExperimentResult> buffered = service.Execute(request);
   ASSERT_TRUE(buffered.ok()) << buffered.status();
 
@@ -839,6 +885,14 @@ TEST(FingerprintServiceTest, StreamedFramesFollowTrialOrder) {
     EXPECT_NE(lines[2 * trial + 1].find(stamp), std::string::npos);
   }
   EXPECT_EQ(streamed.value().ToJson(), buffered.value().ToJson());
+}
+
+TEST(FingerprintServiceTest, StreamedFramesFollowTrialOrder) {
+  ExpectStreamedFramesFollowTrialOrder("fingerprint");
+}
+
+TEST(FingerprintServiceTest, StreamedClaim1FramesFollowTrialOrder) {
+  ExpectStreamedFramesFollowTrialOrder("claim1");
 }
 
 TEST(FingerprintServiceTest, Claim1OverTheCachedPoolMatchesSelfSieving) {
