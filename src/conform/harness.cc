@@ -28,6 +28,7 @@ const std::vector<const Suite*>& AllSuites() {
   static const auto* owned = [] {
     auto* suites = new std::vector<std::unique_ptr<Suite>>();
     suites->push_back(MakeTapeBackendSuite());
+    suites->push_back(MakeTapeFieldsSuite());
     suites->push_back(MakeTrialTallySuite());
     suites->push_back(MakeTmNlmSuite());
     suites->push_back(MakeCertificateSuite());

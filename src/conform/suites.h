@@ -18,6 +18,16 @@ namespace rstlab::conform {
 /// must agree after every op, and final contents must match.
 std::unique_ptr<Suite> MakeTapeBackendSuite();
 
+/// Per-cell field walks vs bulk field walks: random `0`/`1`/`#` tape
+/// contents (with stray blanks and unterminated last fields) and random
+/// sequences of SkipField, ReadField, CopyField, CompareFields,
+/// CountFields, AtEnd, Seek and MoveLeft over two tapes, replayed on
+/// per-cell reference loops over the head model and on the stmodel
+/// primitives over mem and 16-cell-block file tapes; every returned
+/// value, both heads, directions, reversal counts and cells used must
+/// agree after every op, and both final contents must match.
+std::unique_ptr<Suite> MakeTapeFieldsSuite();
+
 /// 1-thread vs N-thread `TrialRunner`: the merged tally (including a
 /// non-associative double sum) must be bit-identical for any thread
 /// count at fixed chunking.

@@ -1,5 +1,6 @@
 #include "extmem/block_file.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -10,6 +11,9 @@
 namespace rstlab::extmem {
 
 namespace {
+
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 void PutU32(char* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -50,12 +54,41 @@ std::string PathError(const std::string& path, const char* what) {
 }  // namespace
 
 std::uint64_t Fnv1a64(const char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::uint64_t hash = kFnvOffsetBasis;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ull;
+    hash *= kFnvPrime;
   }
   return hash;
+}
+
+std::uint64_t BlockChecksum64(const char* data, std::size_t size) {
+  // One load per word (byte-swapped on big-endian hosts, so the value
+  // is the same everywhere) and four independent multiply chains.
+  const auto word = [data](std::size_t pos) {
+    std::uint64_t w;
+    std::memcpy(&w, data + pos, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    return w;
+  };
+  std::uint64_t h0 = kFnvOffsetBasis;
+  std::uint64_t h1 = kFnvOffsetBasis + 1;
+  std::uint64_t h2 = kFnvOffsetBasis + 2;
+  std::uint64_t h3 = kFnvOffsetBasis + 3;
+  const std::size_t body = size - size % 32;
+  for (std::size_t pos = 0; pos < body; pos += 32) {
+    h0 = (h0 ^ word(pos)) * kFnvPrime;
+    h1 = (h1 ^ word(pos + 8)) * kFnvPrime;
+    h2 = (h2 ^ word(pos + 16)) * kFnvPrime;
+    h3 = (h3 ^ word(pos + 24)) * kFnvPrime;
+  }
+  std::uint64_t out = Fnv1a64(data + body, size - body);
+  for (const std::uint64_t lane : {h0, h1, h2, h3}) {
+    out = out * kFnvPrime + lane;
+  }
+  return out;
 }
 
 void EncodeTapeFileHeader(const TapeFileHeader& header, char* out) {
@@ -178,7 +211,7 @@ Status BlockFile::ReadBlock(std::size_t index, char* out) {
       std::fread(trailer, 1, 8, file_) != 8) {
     return Status::Internal("extmem: truncated file (block records cut short)");
   }
-  if (GetU64(trailer) != Fnv1a64(out, block_size_)) {
+  if (GetU64(trailer) != BlockChecksum64(out, block_size_)) {
     return Status::Internal("extmem: checksum mismatch (block " +
                             std::to_string(index) + ")");
   }
@@ -198,7 +231,7 @@ Status BlockFile::WriteBlock(std::size_t index, const char* data) {
     return Status::Internal(PathError(path_, "seek failed"));
   }
   char trailer[8];
-  PutU64(trailer, Fnv1a64(data, block_size_));
+  PutU64(trailer, BlockChecksum64(data, block_size_));
   if (std::fwrite(data, 1, block_size_, file_) != block_size_ ||
       std::fwrite(trailer, 1, 8, file_) != 8) {
     return Status::Internal(PathError(path_, "write failed"));

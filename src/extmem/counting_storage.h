@@ -12,10 +12,13 @@ namespace rstlab::extmem {
 
 /// TapeStorage decorator counting every cell access — the
 /// instrumentation behind the "reads each cell exactly once per scan"
-/// regression pins (the PR 7 tape-tester audit and the streaming-XML
-/// audit of this PR). Deliberately NOT a MemStorage subclass: Tape only
-/// takes its zero-virtual-call fast path for MemStorage, so wrapping
-/// keeps every Read on the virtual path where it can be counted.
+/// regression pins (the fingerprint tape tester's and the XML event
+/// reader's). Deliberately NOT a MemStorage subclass: Tape only takes
+/// its zero-virtual-call fast path for MemStorage, so wrapping keeps
+/// every Read on the virtual path where it can be counted. Its
+/// `ContiguousCells` serves one cell per call and counts that call as
+/// one read, so a bulk walk over a counting tape reads, and is
+/// counted, cell by cell like the per-cell walk it replaces.
 class CountingStorage final : public TapeStorage {
  public:
   explicit CountingStorage(std::string content)
@@ -36,6 +39,10 @@ class CountingStorage final : public TapeStorage {
   }
   std::string ReadRange(std::size_t pos, std::size_t count) override {
     return inner_.ReadRange(pos, count);
+  }
+  std::string_view ContiguousCells(std::size_t index) override {
+    ++reads;
+    return inner_.ContiguousCells(index).substr(0, 1);
   }
   void WriteRange(std::size_t pos, std::string_view data) override {
     inner_.WriteRange(pos, data);

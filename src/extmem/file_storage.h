@@ -1,9 +1,11 @@
 #ifndef RSTLAB_EXTMEM_FILE_STORAGE_H_
 #define RSTLAB_EXTMEM_FILE_STORAGE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "extmem/block_cache.h"
 #include "extmem/block_file.h"
@@ -23,7 +25,9 @@ namespace rstlab::extmem {
 /// cost between block boundaries is a shift, a compare and an indexed
 /// load — block-cache traffic happens once per block crossed, which on
 /// the paper's scan-shaped access patterns is once per `block_size`
-/// head moves.
+/// head moves. `ContiguousCells` hands out the rest of that block as
+/// one view, so a bulk walk pays one virtual call per block instead
+/// of several per cell.
 ///
 /// `Create`/`Open` return Status (never throw): `Open` validates the
 /// header and every block checksum, rejecting truncated files, bad
@@ -79,6 +83,21 @@ class FileStorage final : public TapeStorage {
 
   void Assign(std::string content) override;
   std::string ReadRange(std::size_t pos, std::size_t count) override;
+
+  /// The rest of the block holding `index`, clamped to `size()`. The
+  /// block is taken through the same memo as `ReadCell`, so a walk over
+  /// the view acquires exactly the blocks a per-cell walk would, in the
+  /// same order; the cache never evicts the block last acquired, so the
+  /// view stays valid until the next call on this storage.
+  std::string_view ContiguousCells(std::size_t index) override {
+    if (index >= length_) return {};
+    const std::size_t offset = index & cell_mask_;
+    const std::size_t count =
+        std::min(cell_mask_ + 1 - offset, length_ - index);
+    return std::string_view(BlockFor(index, /*for_write=*/false) + offset,
+                            count);
+  }
+
   void WriteRange(std::size_t pos, std::string_view data) override;
   void SetDirectionHint(int direction) override {
     cache_.SetDirectionHint(direction);

@@ -54,6 +54,14 @@ class TapeStorage {
   /// The `count` cells starting at `pos`, clamped to `size()`.
   virtual std::string ReadRange(std::size_t pos, std::size_t count) = 0;
 
+  /// The cells from `index` on that sit contiguously in memory: at
+  /// least one cell when `index < size()`, empty at or beyond it. The
+  /// view stays valid until the next call on this storage. It is what
+  /// `tape::Tape`'s bulk walk reads through, one call per run of cells
+  /// instead of one `ReadCell` per cell; a backend charges the cells it
+  /// exposes exactly as it charges reading them one by one.
+  virtual std::string_view ContiguousCells(std::size_t index) = 0;
+
   /// Overwrites the `data.size()` cells starting at `pos`, growing the
   /// logical length to at least `pos + data.size()`. The bulk dual of
   /// `ReadRange`: backends override it to move whole blocks at a time
@@ -115,6 +123,11 @@ class MemStorage final : public TapeStorage {
   void Reserve(std::size_t cells) override { EnsureLength(cells); }
   void Assign(std::string content) override;
   std::string ReadRange(std::size_t pos, std::size_t count) override;
+  /// The rest of the buffer: cells `index .. size()-1`.
+  std::string_view ContiguousCells(std::size_t index) override {
+    if (index >= length_) return {};
+    return std::string_view(cells_.data() + index, length_ - index);
+  }
   void WriteRange(std::size_t pos, std::string_view data) override;
   const char* backend_name() const override { return "mem"; }
 

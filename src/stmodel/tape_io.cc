@@ -4,35 +4,53 @@
 
 namespace rstlab::stmodel {
 
+namespace {
+
+/// Steps over the separator the head rests on, if any — the last move
+/// of every field walk.
+void PassSeparator(tape::Tape& t) {
+  if (t.Read() == kFieldSeparator) t.MoveRight();
+}
+
+/// ReadField into a caller buffer, so walks that read field after field
+/// reuse one allocation.
+void ReadFieldInto(tape::Tape& t, std::string& out) {
+  out.clear();
+  t.MoveRightUntil(kFieldSeparator, &out);
+  PassSeparator(t);
+}
+
+}  // namespace
+
 void Rewind(tape::Tape& t) { t.Seek(0); }
 
 bool AtEnd(const tape::Tape& t) { return t.Read() == tape::kBlank; }
 
 std::size_t SkipField(tape::Tape& t) {
-  std::size_t skipped = 0;
-  while (t.Read() != kFieldSeparator && t.Read() != tape::kBlank) {
-    ++skipped;
-    t.MoveRight();
-  }
-  if (t.Read() == kFieldSeparator) t.MoveRight();
+  const std::size_t skipped = t.MoveRightUntil(kFieldSeparator, nullptr);
+  PassSeparator(t);
   return skipped;
 }
 
 std::string ReadField(tape::Tape& t) {
   std::string out;
-  while (t.Read() != kFieldSeparator && t.Read() != tape::kBlank) {
-    out.push_back(t.Read());
-    t.MoveRight();
-  }
-  if (t.Read() == kFieldSeparator) t.MoveRight();
+  ReadFieldInto(t, out);
   return out;
 }
 
 void CopyField(tape::Tape& src, tape::Tape& dst) {
-  while (src.Read() != kFieldSeparator && src.Read() != tape::kBlank) {
-    dst.Write(src.Read());
+  // The first payload cell moves per cell, so the two heads turn in the
+  // per-cell walk's order (the destination first) and a traced run's
+  // event stream keeps its order. After that both heads face right and
+  // the rest of the payload moves as one piece.
+  const char first = src.Read();
+  if (first != kFieldSeparator && first != tape::kBlank) {
+    dst.Write(first);
     dst.MoveRight();
     src.MoveRight();
+    std::string rest;
+    src.MoveRightUntil(kFieldSeparator, &rest);
+    dst.WriteForward(rest);
   }
   if (src.Read() == kFieldSeparator) {
     dst.Write(kFieldSeparator);
@@ -42,29 +60,23 @@ void CopyField(tape::Tape& src, tape::Tape& dst) {
 }
 
 int CompareFields(tape::Tape& a, tape::Tape& b) {
-  int verdict = 0;
-  bool decided = false;
-  while (true) {
-    const char ca = a.Read();
-    const char cb = b.Read();
-    const bool ea = (ca == kFieldSeparator || ca == tape::kBlank);
-    const bool eb = (cb == kFieldSeparator || cb == tape::kBlank);
-    if (ea && eb) break;
-    if (!decided) {
-      if (ea != eb) {
-        verdict = ea ? -1 : 1;  // proper prefix compares less
-        decided = true;
-      } else if (ca != cb) {
-        verdict = ca < cb ? -1 : 1;
-        decided = true;
-      }
-    }
-    if (!ea) a.MoveRight();
-    if (!eb) b.MoveRight();
-  }
-  if (a.Read() == kFieldSeparator) a.MoveRight();
-  if (b.Read() == kFieldSeparator) b.MoveRight();
-  return verdict;
+  // Both fields are consumed whatever the verdict, `a`'s before `b`'s:
+  // in the per-cell lockstep `a` moves first, so a traced run's events
+  // keep their order.
+  thread_local std::string field_a;
+  thread_local std::string field_b;
+  field_a.clear();
+  field_b.clear();
+  a.MoveRightUntil(kFieldSeparator, &field_a);
+  b.MoveRightUntil(kFieldSeparator, &field_b);
+  PassSeparator(a);
+  PassSeparator(b);
+  const auto [ia, ib] = std::mismatch(field_a.begin(), field_a.end(),
+                                      field_b.begin(), field_b.end());
+  // A proper prefix compares less; cells compare as `char`.
+  if (ia == field_a.end()) return ib == field_b.end() ? 0 : -1;
+  if (ib == field_b.end()) return 1;
+  return *ia < *ib ? -1 : 1;
 }
 
 std::size_t CountFields(tape::Tape& t) {
@@ -88,7 +100,8 @@ void SortedFieldCursor::Load() {
     return;
   }
   --remaining_;
-  value_ = ReadField(tape_);
+  if (!value_.has_value()) value_.emplace();
+  ReadFieldInto(tape_, *value_);
   longest_ = std::max(longest_, value_->size());
   buffer_bits_.Resize(8 * longest_);
 }
@@ -97,10 +110,10 @@ void SortedFieldCursor::Advance() { Load(); }
 
 void SortedFieldCursor::AdvanceDistinct() {
   if (!value_.has_value()) return;
-  const std::string previous = *value_;
+  previous_.swap(*value_);
   do {
     Load();
-  } while (value_.has_value() && *value_ == previous);
+  } while (value_.has_value() && *value_ == previous_);
 }
 
 }  // namespace rstlab::stmodel

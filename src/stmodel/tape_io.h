@@ -14,6 +14,13 @@ namespace rstlab::stmodel {
 /// v1#v2#...#vm#v'1#...#v'm#.
 inline constexpr char kFieldSeparator = '#';
 
+// The field walks below move their heads over a field's payload with
+// `tape::Tape::MoveRightUntil`, a contiguous run of cells per storage
+// call instead of a Read()/MoveRight() pair per cell. They bill exactly
+// what that per-cell walk bills: the heads end on the same cells, with
+// the same reversals, tape growth and trace events (in the same order
+// across tapes), and the file backend acquires the same blocks.
+
 /// Moves the head back to cell 0 (costs at most one direction change).
 void Rewind(tape::Tape& t);
 
@@ -77,6 +84,7 @@ class SortedFieldCursor {
   InternalArena::Allocation buffer_bits_;
   std::size_t longest_ = 0;
   std::optional<std::string> value_;
+  std::string previous_;  // AdvanceDistinct's last value, in host memory
 };
 
 }  // namespace rstlab::stmodel

@@ -128,8 +128,42 @@ void Tape::RecordDirectionSlow(Direction d) {
 }
 
 void Tape::Seek(std::size_t position) {
-  while (head_ < position) MoveRight();
-  while (head_ > position) MoveLeft();
+  if (position > head_) {
+    RecordDirection(Direction::kRight);
+    head_ = position;
+    ReserveThroughHead();
+  } else if (position < head_) {
+    RecordDirection(Direction::kLeft);
+    head_ = position;
+  }
+}
+
+std::size_t Tape::MoveRightUntil(char stop, std::string* passed) {
+  const auto cells_from = [this](std::size_t index) {
+    return mem_ != nullptr ? mem_->ContiguousCells(index)
+                           : storage_->ContiguousCells(index);
+  };
+  std::size_t moved = 0;
+  for (std::string_view cells = cells_from(head_);;
+       cells = cells_from(head_ + moved)) {
+    std::size_t run = 0;
+    while (run < cells.size() && cells[run] != stop && cells[run] != kBlank) {
+      ++run;
+    }
+    if (run > 0) {
+      // Turn before the next run is fetched, as the per-cell walk turns
+      // on its first move: the file backend's readahead follows the
+      // direction when it acquires the next block.
+      if (moved == 0) RecordDirection(Direction::kRight);
+      if (passed != nullptr) passed->append(cells.data(), run);
+      moved += run;
+    }
+    if (run < cells.size() || cells.empty()) break;
+  }
+  if (moved == 0) return 0;
+  head_ += moved;
+  ReserveThroughHead();
+  return moved;
 }
 
 std::string Tape::ReadForward(std::size_t count) {
@@ -138,7 +172,7 @@ std::string Tape::ReadForward(std::size_t count) {
   std::string out = storage_->ReadRange(head_, count);
   out.resize(count, kBlank);
   head_ += count;
-  storage_->Reserve(head_ + 1);
+  ReserveThroughHead();
   return out;
 }
 
@@ -147,7 +181,7 @@ void Tape::WriteForward(std::string_view data) {
   RecordDirection(Direction::kRight);
   storage_->WriteRange(head_, data);
   head_ += data.size();
-  storage_->Reserve(head_ + 1);
+  ReserveThroughHead();
 }
 
 }  // namespace rstlab::tape

@@ -95,11 +95,7 @@ class Tape {
   void MoveRight() {
     RecordDirection(Direction::kRight);
     ++head_;
-    if (mem_ != nullptr) {
-      mem_->EnsureLength(head_ + 1);
-      return;
-    }
-    storage_->Reserve(head_ + 1);
+    ReserveThroughHead();
   }
 
   /// Moves the head one cell to the left. At cell 0 the head cannot move
@@ -112,9 +108,24 @@ class Tape {
     --head_;
   }
 
-  /// Moves the head to absolute cell `position`, metering the direction
-  /// changes this incurs (at most 2). This is the model's "random access".
+  /// Moves the head to absolute cell `position` — the model's "random
+  /// access". It is one jump, metered exactly as the |position - head()|
+  /// single moves it stands for: at most one direction change (whose
+  /// trace events carry the position the turn started at), and a
+  /// rightward seek grows the tape to `position + 1` cells.
   void Seek(std::size_t position);
+
+  /// Moves the head right until it rests on the first cell holding
+  /// `stop` or the blank, appending every cell it passes to `*passed`
+  /// (when not null); returns how many it passed. Metered exactly as
+  /// that many MoveRight() calls: one direction check, the same head
+  /// and the same growth, and nothing at all when the head already
+  /// rests on a stop. The head never passes a blank, so the walk ends
+  /// at the end of the content at the latest. The cells are fetched a
+  /// contiguous run at a time (`TapeStorage::ContiguousCells`), which
+  /// is what keeps field walks off the per-cell virtual path. There is
+  /// deliberately no way to look at cells without moving over them.
+  std::size_t MoveRightUntil(char stop, std::string* passed);
 
   /// Reads the `count` cells starting at the head while moving the head
   /// `count` cells to the right — exactly equivalent to `count`
@@ -175,6 +186,14 @@ class Tape {
     if (d != direction_) RecordDirectionSlow(d);
   }
   void RecordDirectionSlow(Direction d);
+  /// Grows the logical length to cover the cell under the head.
+  void ReserveThroughHead() {
+    if (mem_ != nullptr) {
+      mem_->EnsureLength(head_ + 1);
+      return;
+    }
+    storage_->Reserve(head_ + 1);
+  }
   void EmitScanBegin();
   void EmitScanEnd();
 

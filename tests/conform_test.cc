@@ -271,6 +271,28 @@ TEST(FaultInjectionTest, PhantomReversalFaultShrinksToASingleBlockedMove) {
   }
 }
 
+TEST(FaultInjectionTest, EarlyStoppingFieldWalkShrinksToOneOp) {
+  // The injected field fault stops the model's per-cell walk one cell
+  // before the field's end; ddmin must strip every op but one field
+  // walk and leave a field of a cell or two.
+  ScopedFaultInjection fault;
+  const Suite* suite = FindSuite("tape-fields");
+  ASSERT_NE(suite, nullptr);
+  const SuiteReport report = RunSuite(*suite, /*seed=*/1, /*cases=*/12);
+  ASSERT_FALSE(report.passed());
+  for (const CaseFailure& f : report.failures) {
+    // Rendered as a="..." b="...": op op ...
+    const std::string& shrunk = f.counterexample;
+    const std::size_t ops = shrunk.find("\": ");
+    ASSERT_NE(ops, std::string::npos) << shrunk;
+    EXPECT_EQ(shrunk.find(' ', ops + 3), std::string::npos)
+        << f.id.ToString() << " kept more than one op: " << shrunk;
+    EXPECT_LE(ops, std::string("a=\"0\" b=\"0").size())
+        << f.id.ToString() << " kept more than two cells: " << shrunk;
+    EXPECT_GT(f.shrink_attempts, 0u) << f.id.ToString();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Generator sanity: generated values land in the space the oracles
 // assume, so shrinking cannot morph a failure into an encoding error.

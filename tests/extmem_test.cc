@@ -92,6 +92,44 @@ TEST(BlockFileTest, Fnv1a64MatchesReferenceVector) {
   EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
 }
 
+TEST(BlockFileTest, BlockChecksumMatchesReferenceVectors) {
+  // Pinned from an independent implementation of the format-2 rule:
+  // four lanes h = (h ^ w) * P over little-endian words, the FNV-1a
+  // tail, folded as out = out * P + lane.
+  std::string counting(64, '\0');
+  for (std::size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<char>(i);
+  }
+  EXPECT_EQ(BlockChecksum64(counting.data(), counting.size()),
+            0x39934f3966b78d3full);
+  const std::string fox = "the quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(BlockChecksum64(fox.data(), fox.size()), 0xcec81ebb858daa7cull);
+  EXPECT_EQ(BlockChecksum64(std::string(16, kBlankCell).data(), 16),
+            0x5e94ae708d90bc5full);
+  EXPECT_EQ(BlockChecksum64(std::string(4096, kBlankCell).data(), 4096),
+            0x78295ea3deba232full);
+}
+
+TEST(BlockFileTest, BlockChecksumSeesEverySingleByteChange) {
+  // A 4096-byte block is 128 four-word strides; a 16-byte block is all
+  // tail. Either way, changing any one byte changes the checksum.
+  for (const std::size_t size : {std::size_t{4096}, std::size_t{16}}) {
+    std::string block(size, kBlankCell);
+    for (std::size_t i = 0; i < size; ++i) {
+      block[i] = "01#_"[(i * 7 + i / 5) % 4];
+    }
+    const std::uint64_t clean = BlockChecksum64(block.data(), size);
+    for (std::size_t i = 0; i < size; ++i) {
+      for (const unsigned char flip : {0x01, 0x80, 0xff}) {
+        block[i] = static_cast<char>(block[i] ^ flip);
+        ASSERT_NE(BlockChecksum64(block.data(), size), clean)
+            << "size " << size << ", byte " << i << ", xor " << int{flip};
+        block[i] = static_cast<char>(block[i] ^ flip);
+      }
+    }
+  }
+}
+
 TEST(BlockFileTest, HeaderRoundTrips) {
   TapeFileHeader header;
   header.block_size = 4096;
@@ -241,6 +279,38 @@ TEST(BlockFileTest, OpenRejectsFlippedPayloadByte) {
   ASSERT_FALSE(opened.ok());
   EXPECT_NE(opened.status().message().find("checksum mismatch"),
             std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(BlockFileTest, OpenRejectsVersionOneFile) {
+  // Format 1 checksummed blocks with FNV-1a; a file whose (otherwise
+  // valid) header says version 1 is refused before any block is read.
+  const std::string path = TempPath("blockfile_v1.rstape");
+  {
+    auto file = BlockFile::Create(path, 16);
+    ASSERT_TRUE(file.ok()) << file.status();
+    std::string payload(16, 'v');
+    ASSERT_TRUE(file.value()->WriteBlock(0, payload.data()).ok());
+    ASSERT_TRUE(file.value()->Sync(16).ok());
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    char header[kTapeFileHeaderSize];
+    ASSERT_TRUE(f.read(header, sizeof(header)));
+    header[8] = 1;  // little-endian version field [8..12)
+    header[9] = header[10] = header[11] = 0;
+    const std::uint64_t checksum = Fnv1a64(header, 56);
+    for (int i = 0; i < 8; ++i) {
+      header[56 + i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
+    }
+    f.seekp(0);
+    f.write(header, sizeof(header));
+  }
+  auto opened = BlockFile::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("unsupported tape file version"),
+            std::string::npos)
+      << opened.status();
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/ring_sink.h"
+#include "obs/trace.h"
 #include "stmodel/internal_arena.h"
 #include "stmodel/st_context.h"
 #include "stmodel/tape_io.h"
@@ -180,7 +182,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CompareCase{"0101", "01", 1},
                       CompareCase{"", "0", -1},
                       CompareCase{"", "", 0},
-                      CompareCase{"1", "0", 1}));
+                      CompareCase{"1", "0", 1},
+                      // Cells compare as `char`, as the per-cell walk
+                      // compares them, whatever its signedness.
+                      CompareCase{"\x80", "a", '\x80' < 'a' ? -1 : 1}));
 
 TEST(TapeIoTest, CompareFieldsCostsNoReversals) {
   tape::Tape a("000111#");
@@ -188,6 +193,85 @@ TEST(TapeIoTest, CompareFieldsCostsNoReversals) {
   CompareFields(a, b);
   EXPECT_EQ(a.reversals(), 0u);
   EXPECT_EQ(b.reversals(), 0u);
+}
+
+// The per-cell walks the bulk primitives replace, on real tapes: one
+// Read()/MoveRight() pair per cell, the two tapes moving in lockstep.
+void PerCellCopyField(tape::Tape& src, tape::Tape& dst) {
+  while (src.Read() != kFieldSeparator && src.Read() != tape::kBlank) {
+    dst.Write(src.Read());
+    dst.MoveRight();
+    src.MoveRight();
+  }
+  if (src.Read() == kFieldSeparator) {
+    dst.Write(kFieldSeparator);
+    dst.MoveRight();
+    src.MoveRight();
+  }
+}
+
+void PerCellCompareFields(tape::Tape& a, tape::Tape& b) {
+  while (true) {
+    const bool ea = a.Read() == kFieldSeparator || a.Read() == tape::kBlank;
+    const bool eb = b.Read() == kFieldSeparator || b.Read() == tape::kBlank;
+    if (ea && eb) break;
+    if (!ea) a.MoveRight();
+    if (!eb) b.MoveRight();
+  }
+  if (a.Read() == kFieldSeparator) a.MoveRight();
+  if (b.Read() == kFieldSeparator) b.MoveRight();
+}
+
+/// Two tapes traced into one sink (ids 0 and 1), each left facing left
+/// at cell 0, so the next field walk turns both heads.
+struct TracedPair {
+  obs::RingSink events;
+  tape::Tape tapes[2];
+
+  TracedPair(std::string first, std::string second)
+      : tapes{tape::Tape(std::move(first)), tape::Tape(std::move(second))} {
+    for (int i = 0; i < 2; ++i) {
+      tapes[i].Seek(2);
+      tapes[i].Seek(0);
+      tapes[i].AttachTrace(&events, i);
+    }
+  }
+
+  std::vector<std::string> Stream() {
+    for (tape::Tape& t : tapes) t.FlushTrace();
+    std::vector<std::string> out;
+    for (const obs::TraceEvent& e : events.Snapshot()) {
+      out.push_back(std::string(obs::EventKindName(e.kind)) + " tape " +
+                    std::to_string(e.tape_id) + " at " +
+                    std::to_string(e.position) + " dir " +
+                    std::to_string(e.direction) + " [" +
+                    std::to_string(e.lo) + "," + std::to_string(e.hi) +
+                    "]");
+    }
+    return out;
+  }
+};
+
+TEST(TapeIoTest, FieldWalksKeepThePerCellEventOrderAcrossTapes) {
+  // Per cell, a copy turns its destination before its source, and a
+  // compare turns `a` first unless `a`'s field is empty (then `a` only
+  // turns to pass its separator, after `b`'s walk). The bulk walks must
+  // emit the same interleaved event stream into a shared sink.
+  {
+    TracedPair bulk("0110#1#", "");
+    TracedPair step("0110#1#", "");
+    CopyField(bulk.tapes[0], bulk.tapes[1]);
+    PerCellCopyField(step.tapes[0], step.tapes[1]);
+    EXPECT_EQ(bulk.Stream(), step.Stream());
+  }
+  for (const char* a : {"011#", "#"}) {
+    SCOPED_TRACE(a);
+    TracedPair bulk(a, "01#");
+    TracedPair step(a, "01#");
+    CompareFields(bulk.tapes[0], bulk.tapes[1]);
+    PerCellCompareFields(step.tapes[0], step.tapes[1]);
+    EXPECT_EQ(bulk.Stream(), step.Stream());
+  }
 }
 
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "extmem/io_stats.h"
+#include "extmem/storage.h"
 #include "obs/ring_sink.h"
 #include "obs/trace.h"
 #include "tape/resource_meter.h"
@@ -9,6 +12,56 @@
 
 namespace rstlab::tape {
 namespace {
+
+/// A tape holding `content` in memory, or on the file backend with
+/// 16-cell blocks, so short walks already cross blocks.
+Tape MakeTape(bool file, std::string content) {
+  if (!file) return Tape(std::move(content));
+  extmem::StorageOptions options;
+  options.backend = extmem::BackendKind::kFile;
+  options.block_size = 16;
+  options.cache_blocks = 4;
+  options.readahead_blocks = 2;
+  options.dir = ::testing::TempDir();
+  Result<std::unique_ptr<extmem::TapeStorage>> storage =
+      extmem::CreateStorage(options);
+  EXPECT_TRUE(storage.ok()) << storage.status();
+  Tape t(std::move(storage).value());
+  t.Reset(std::move(content));
+  return t;
+}
+
+/// Expects two tapes to have been charged identically: head, direction,
+/// reversals, cells used, block I/O and the whole trace-event stream.
+void ExpectSameBill(const Tape& a, const obs::RingSink& a_events,
+                    const Tape& b, const obs::RingSink& b_events) {
+  EXPECT_EQ(a.head(), b.head());
+  EXPECT_EQ(a.direction(), b.direction());
+  EXPECT_EQ(a.reversals(), b.reversals());
+  EXPECT_EQ(a.cells_used(), b.cells_used());
+  const extmem::IoStats a_io = a.io_stats();
+  const extmem::IoStats b_io = b.io_stats();
+  EXPECT_EQ(a_io.block_reads, b_io.block_reads);
+  EXPECT_EQ(a_io.block_writes, b_io.block_writes);
+  EXPECT_EQ(a_io.cache_hits, b_io.cache_hits);
+  EXPECT_EQ(a_io.cache_misses, b_io.cache_misses);
+  EXPECT_EQ(a_io.readahead_blocks, b_io.readahead_blocks);
+  EXPECT_EQ(a_io.readahead_hits, b_io.readahead_hits);
+  EXPECT_EQ(a_io.evictions, b_io.evictions);
+  const std::vector<obs::TraceEvent> x = a_events.Snapshot();
+  const std::vector<obs::TraceEvent> y = b_events.Snapshot();
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(x[i].kind, y[i].kind);
+    EXPECT_EQ(x[i].tape_id, y[i].tape_id);
+    EXPECT_EQ(x[i].scan, y[i].scan);
+    EXPECT_EQ(x[i].position, y[i].position);
+    EXPECT_EQ(x[i].lo, y[i].lo);
+    EXPECT_EQ(x[i].hi, y[i].hi);
+    EXPECT_EQ(x[i].direction, y[i].direction);
+  }
+}
 
 TEST(TapeTest, FreshTapeIsBlank) {
   Tape t;
@@ -127,6 +180,112 @@ TEST(TapeTest, SeekCostsAtMostTwoReversals) {
   EXPECT_EQ(t.reversals(), 1u);
   t.Seek(5);
   EXPECT_EQ(t.reversals(), 2u);
+}
+
+TEST(TapeTest, SeekEmitsWhatSingleMovesEmit) {
+  // Seek is one jump, but it must be charged as the single moves it
+  // stands for: same turns (traced at the position the turn started
+  // at), same growth past the content, same events.
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file ? "file" : "mem");
+    Tape jump = MakeTape(file, "0123456789abcdef0123456789");
+    Tape step = MakeTape(file, "0123456789abcdef0123456789");
+    obs::RingSink jump_events;
+    obs::RingSink step_events;
+    jump.AttachTrace(&jump_events, 0);
+    step.AttachTrace(&step_events, 0);
+    for (const std::size_t target : {37, 5, 5, 60, 0, 0, 3, 90, 89}) {
+      jump.Seek(target);
+      while (step.head() < target) step.MoveRight();
+      while (step.head() > target) step.MoveLeft();
+      EXPECT_EQ(jump.head(), target);
+      EXPECT_EQ(jump.reversals(), step.reversals());
+      EXPECT_EQ(jump.cells_used(), step.cells_used());
+    }
+    jump.FlushTrace();
+    step.FlushTrace();
+    EXPECT_EQ(jump.reversals(), 5u);
+    EXPECT_EQ(jump.cells_used(), 91u);
+    ExpectSameBill(jump, jump_events, step, step_events);
+  }
+}
+
+TEST(TapeTest, MoveRightUntilStopsOnTheStopSymbolOrTheFirstBlank) {
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file ? "file" : "mem");
+    Tape t = MakeTape(file, "01#10_1#");
+    std::string passed;
+    EXPECT_EQ(t.MoveRightUntil('#', &passed), 2u);
+    EXPECT_EQ(passed, "01");
+    EXPECT_EQ(t.head(), 2u);
+    t.MoveRight();
+    // A blank inside the content stops the walk too.
+    EXPECT_EQ(t.MoveRightUntil('#', &passed), 2u);
+    EXPECT_EQ(passed, "0110");
+    EXPECT_EQ(t.head(), 5u);
+    EXPECT_EQ(t.Read(), kBlank);
+    EXPECT_EQ(t.cells_used(), 8u);
+    EXPECT_EQ(t.reversals(), 0u);
+
+    // Past the content the head rests on the first blank: the tape
+    // grows by that one cell, as under single moves, and not beyond.
+    Tape u = MakeTape(file, "0011");
+    EXPECT_EQ(u.MoveRightUntil('#', nullptr), 4u);
+    EXPECT_EQ(u.head(), 4u);
+    EXPECT_EQ(u.cells_used(), 5u);
+    EXPECT_EQ(u.MoveRightUntil('#', nullptr), 0u);
+    EXPECT_EQ(u.head(), 4u);
+    EXPECT_EQ(u.cells_used(), 5u);
+  }
+}
+
+TEST(TapeTest, ZeroCellWalkChargesNothing) {
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file ? "file" : "mem");
+    Tape t = MakeTape(file, "0#1");
+    t.Seek(2);
+    t.MoveLeft();  // on the '#', facing left
+    obs::RingSink events;
+    t.AttachTrace(&events, 0);
+    std::string passed;
+    EXPECT_EQ(t.MoveRightUntil('#', &passed), 0u);
+    EXPECT_TRUE(passed.empty());
+    EXPECT_EQ(t.head(), 1u);
+    EXPECT_EQ(t.direction(), Direction::kLeft);
+    EXPECT_EQ(t.reversals(), 1u);
+    EXPECT_EQ(events.Snapshot().size(), 1u);  // AttachTrace's scan begin
+  }
+}
+
+TEST(TapeTest, BulkWalkAcrossBlocksMatchesSingleMoves) {
+  // 99 payload cells: on 16-cell blocks the walk crosses six block
+  // boundaries, and must acquire the blocks a per-cell walk acquires,
+  // in the same order and under the same readahead direction.
+  std::string content;
+  for (int i = 0; i < 100; ++i) content.push_back(i % 3 == 0 ? '1' : '0');
+  content += '#';
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file ? "file" : "mem");
+    Tape bulk = MakeTape(file, content);
+    Tape step = MakeTape(file, content);
+    obs::RingSink bulk_events;
+    obs::RingSink step_events;
+    bulk.AttachTrace(&bulk_events, 0);
+    step.AttachTrace(&step_events, 0);
+    for (Tape* t : {&bulk, &step}) {
+      t->Seek(40);
+      t->Seek(1);  // facing left, so the walk's turn is traced as well
+    }
+    std::string passed;
+    EXPECT_EQ(bulk.MoveRightUntil('#', &passed), 99u);
+    while (step.Read() != '#' && step.Read() != kBlank) step.MoveRight();
+    EXPECT_EQ(bulk.Read(), '#');
+    bulk.FlushTrace();
+    step.FlushTrace();
+    ExpectSameBill(bulk, bulk_events, step, step_events);
+    // Read back last: contents() goes through the block cache too.
+    EXPECT_EQ(passed, bulk.contents().substr(1, 99));
+  }
 }
 
 TEST(TapeTest, ResetClearsAccounting) {
